@@ -769,6 +769,42 @@ func BenchmarkLinkFullPath(b *testing.B) {
 	}
 }
 
+// benchInjectRunReset times the engine op — stamp each route's packets
+// into a recycled buffer, inject, Run to completion, Reset — after one
+// untimed op that grows every pool, so allocs/op is the steady state.
+func benchInjectRunReset(b *testing.B, engine *dataplane.Engine, routes []*dataplane.Route, perRoute int, size func(route int) int) {
+	b.Helper()
+	bufs := make([][]dataplane.Packet, len(routes))
+	op := func() dataplane.Stats {
+		for i, r := range routes {
+			bufs[i] = r.AppendPackets(bufs[i][:0], perRoute, size(i))
+			if err := engine.InjectBatch(r.Inject, bufs[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		stats, err := engine.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Dropped() != 0 {
+			b.Fatalf("dropped %d packets", stats.Dropped())
+		}
+		engine.Reset()
+		return stats
+	}
+	op()
+	var delivered uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		delivered += op().Delivered
+	}
+	b.StopTimer()
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(delivered)/s, "pkts/s")
+	}
+}
+
 // BenchmarkDataplaneLinkTiers compares end-to-end engine throughput across
 // the link tiers on the lab's three tunnels: the fast tier's direct
 // handoff, the full tier with transparent links (the event loop's
@@ -809,31 +845,50 @@ func BenchmarkDataplaneLinkTiers(b *testing.B) {
 				}
 				routes = append(routes, r)
 			}
-			var delivered uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range routes {
-					if err := engine.InjectBatch(r.Inject, r.NewPackets(batch/len(routes), 1500)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stats, err := engine.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Dropped() != 0 {
-					b.Fatalf("dropped %d packets", stats.Dropped())
-				}
-				delivered += stats.Delivered
-				engine.Reset()
-			}
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(delivered)/s, "pkts/s")
-			}
+			benchInjectRunReset(b, engine, routes, batch/len(routes), func(int) int { return 1500 })
 		})
 	}
+}
+
+// BenchmarkDataplaneFullSparse is the full tier used sparsely: a k=16
+// fat-tree (5120 directed full-tier links) carrying 64 flows of 4 frames,
+// every flow a frame size of its own so that nearly every arrival is an
+// instant of its own. The op touches a few hundred links; what it costs
+// must not depend on the five thousand it leaves idle, in Run or in Reset.
+func BenchmarkDataplaneFullSparse(b *testing.B) {
+	const k, perPod = 16, 4
+	ft, err := topo.FatTree(topo.DefaultFatTreeConfig(k))
+	if err != nil {
+		b.Fatal(err)
+	}
+	routers := append(ft.NodesOfKind(topo.Edge), ft.NodesOfKind(topo.Core)...)
+	domain, err := polka.NewDomain(routers, ft.MaxPort())
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine, err := dataplane.New(ft, dataplane.Config{Domain: domain,
+		LinkMode: dataplane.LinkFull, Link: link.FullConfig{QueuePkts: 64}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	table := ft.SPTable(topo.ByHops)
+	var routes []*dataplane.Route
+	for pod := 0; pod < k; pod++ {
+		for f := 0; f < perPod; f++ {
+			src := fmt.Sprintf("pod%d-edge%d-h0", pod, f)
+			dst := fmt.Sprintf("pod%d-edge%d-h1", (pod+1+f)%k, f)
+			p, err := table.Path(src, dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := engine.UnicastRoute(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			routes = append(routes, r)
+		}
+	}
+	benchInjectRunReset(b, engine, routes, 4, func(route int) int { return 1500 - 4*route })
 }
 
 // BenchmarkLinkTransfer times the window-based transport moving 1 MiB

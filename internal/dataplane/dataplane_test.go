@@ -520,43 +520,9 @@ func TestMulticastRouteRejectsCycles(t *testing.T) {
 
 func TestMaxInFlightStopsAmplification(t *testing.T) {
 	e := triangleEngine(t, Config{MaxInFlight: 500})
-	// Hand-craft the cyclic amplifying routeID MulticastRoute refuses:
-	// s replicates to both neighbors, and both send back to s — the
-	// population doubles every cycle until the cap trips.
-	var hops []polka.MultipathHop
-	for _, n := range []struct {
-		name    string
-		towards []string
-	}{
-		{"s", []string{"i", "d"}},
-		{"i", []string{"s"}},
-		{"d", []string{"s"}},
-	} {
-		sw, err := e.Domain().Switch(n.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := e.Topology().Node(n.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mask uint64
-		for _, to := range n.towards {
-			p, err := node.Port(to)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mask |= 1 << p
-		}
-		hops = append(hops, polka.MultipathHop{NodeID: sw.NodeID(), Ports: mask})
-	}
-	rid, err := polka.ComputeMultipathRouteID(hops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Inject("s", Packet{RouteID: polka.RouteIDBytes(rid), Mode: Multicast, Size: 1}); err != nil {
-		t.Fatal(err)
-	}
+	// The cyclic amplifying routeID MulticastRoute refuses: the population
+	// doubles every cycle until the cap trips.
+	injectAmplifier(t, e)
 	if _, err := e.Run(context.Background()); err == nil {
 		t.Fatal("Run completed despite geometric replication; want in-flight cap error")
 	}

@@ -323,9 +323,11 @@ func (e *Engine) NodeStats(name string) (NodeStats, error) {
 // Reset clears all queues, counters and the delivered list, keeping the
 // topology, domain, reducers — and the warmed round buffers and queue
 // backing arrays, so an engine reused across benchmark iterations runs at
-// steady state without reallocating. Full-mode link state is rebuilt from
-// scratch (virtual clock back to zero, random streams re-seeded), so a
-// reset engine replays identically.
+// steady state without reallocating. Full-mode link state is reset in
+// place, and only on the links that were offered a frame since the last
+// Reset: virtual clock back to zero, random streams re-seeded, the due heap
+// and the arena emptied with their arrays kept — so a reset engine replays
+// identically, whether or not the last Run completed.
 func (e *Engine) Reset() {
 	for _, ns := range e.nodes {
 		ns.queue = ns.queue[:0]
@@ -340,12 +342,7 @@ func (e *Engine) Reset() {
 	e.pending = 0
 	e.nextID = 0
 	if e.full != nil {
-		fs, err := newFullState(e)
-		if err != nil {
-			// New validated the same inputs; rebuilding cannot fail.
-			panic(fmt.Sprintf("dataplane: rebuilding link state: %v", err))
-		}
-		e.full = fs
+		e.full.reset()
 	}
 }
 

@@ -73,13 +73,15 @@ func TestInjectBatchAtomic(t *testing.T) {
 // TestFullModeCancelInjectRerun pins the full-tier accounting across a
 // canceled run: packets a canceled runFull left on wires still count
 // against the in-flight cap (they live in the link arena with pending
-// zeroed), and a later Run drains them to delivery.
+// zeroed), and a later Run drains them to delivery — or a Reset discards
+// them, after which the engine replays like a fresh one.
 func TestFullModeCancelInjectRerun(t *testing.T) {
-	e := labEngine(t, Config{
+	cfg := Config{
 		MaxInFlight: 3,
 		LinkMode:    LinkFull,
 		Link:        link.FullConfig{RateMbps: -1, DelayMs: -1},
-	})
+	}
+	e := labEngine(t, cfg)
 	r, err := e.UnicastRoute(topo.TunnelPath1())
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +111,38 @@ func TestFullModeCancelInjectRerun(t *testing.T) {
 	// The wires are clear; the budget is back.
 	if _, err := e.Inject(r.Inject, r.NewPacket(1)); err != nil {
 		t.Fatalf("injection after full drain rejected: %v", err)
+	}
+
+	// Abort → Reset: cancel again, this time one step into the run, so the
+	// frames sit on a second-hop wire with their link in the due heap, and
+	// discard them. Nothing may survive, and the same injections must then
+	// reproduce a fresh engine's run byte for byte.
+	e.Reset()
+	play := func(ctx context.Context, e *Engine) error {
+		if err := e.InjectBatch(r.Inject, r.NewPackets(3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.Run(ctx)
+		return err
+	}
+	if err := play(newCancelAfter(2), e); err != context.Canceled {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+	if e.full.inFlight != 3 || len(e.full.due) != 1 {
+		t.Fatalf("canceled run holds %d packets on %d due links, want 3 on 1", e.full.inFlight, len(e.full.due))
+	}
+	assertDueHeapDescribesLinks(t, e)
+	e.Reset()
+	assertFullIdle(t, e)
+	fresh := labEngine(t, cfg)
+	if err := play(context.Background(), fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := play(context.Background(), e); err != nil {
+		t.Fatal(err)
+	}
+	if d := diffSnapshots(snapshotFull(t, e), snapshotFull(t, fresh)); d != "" {
+		t.Fatalf("replay after cancel and Reset diverges from a fresh engine on %s", d)
 	}
 }
 
@@ -149,57 +183,114 @@ func TestCapBoundaryUnified(t *testing.T) {
 		})
 	}
 	t.Run("run-amplification", func(t *testing.T) {
-		// The cyclic multicast from TestMaxInFlightStopsAmplification
-		// doubles the population per cycle: 1 → 2 → 2 → 4 → 4 → 8, so with
-		// MaxInFlight 4 the run must refuse at exactly 8 — populations of
-		// exactly 4 passed through the cap check.
-		e := triangleEngine(t, Config{MaxInFlight: 4})
-		var hops []polka.MultipathHop
-		for _, n := range []struct {
-			name    string
-			towards []string
-		}{{"s", []string{"i", "d"}}, {"i", []string{"s"}}, {"d", []string{"s"}}} {
-			sw, err := e.Domain().Switch(n.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			node, err := e.Topology().Node(n.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mask uint64
-			for _, to := range n.towards {
-				p, err := node.Port(to)
-				if err != nil {
-					t.Fatal(err)
+		// The cyclic multicast from TestMaxInFlightStopsAmplification doubles
+		// the population per cycle: 1 → 2 → 2 → 4 → 4 → 8. With MaxInFlight 4
+		// the fast tier, which checks between rounds, must refuse at exactly 8
+		// — populations of exactly 4 passed through the check. The full tier
+		// checks before every arrival, in the middle of an event step, where an
+		// arrival adds at most one packet: it refuses at 5 — with a frame
+		// left on the link being drained — and with MaxInFlight 2 at 3, on
+		// the arrival that emptied that link.
+		for _, c := range []struct {
+			name string
+			cfg  Config
+			at   int
+		}{
+			{"fast", Config{MaxInFlight: 4}, 8},
+			{"full", Config{MaxInFlight: 4, LinkMode: LinkFull,
+				Link: link.FullConfig{RateMbps: -1, DelayMs: -1}}, 5},
+			{"full-link-drained", Config{MaxInFlight: 2, LinkMode: LinkFull,
+				Link: link.FullConfig{RateMbps: -1, DelayMs: -1}}, 3},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				want := capErrText(c.at, c.cfg.MaxInFlight)
+				e := triangleEngine(t, c.cfg)
+				injectAmplifier(t, e)
+				if _, err := e.Run(context.Background()); err == nil || err.Error() != want {
+					t.Fatalf("amplifying Run: got %v, want %q", err, want)
 				}
-				mask |= 1 << p
-			}
-			hops = append(hops, polka.MultipathHop{NodeID: sw.NodeID(), Ports: mask})
+				if c.cfg.LinkMode != LinkFull {
+					return
+				}
+				// The link scan refuses at the same point with the same counters.
+				scan := triangleEngine(t, c.cfg)
+				injectAmplifier(t, scan)
+				if _, err := runFullScan(context.Background(), scan); err == nil || err.Error() != want {
+					t.Fatalf("amplifying link scan: got %v, want %q", err, want)
+				}
+				aborted := snapshotFull(t, e)
+				if d := diffSnapshots(aborted, snapshotFull(t, scan)); d != "" {
+					t.Fatalf("aborted heap core and link scan diverge on %s", d)
+				}
+				// The refusal came mid-step, with packets on wires and links in
+				// the due heap. Reset clears all of it, and the same injection
+				// then replays the abort byte for byte.
+				if e.full.inFlight == 0 || len(e.full.due) == 0 {
+					t.Fatal("the abort left nothing on the wires; it was not mid-step")
+				}
+				assertDueHeapDescribesLinks(t, e)
+				e.Reset()
+				assertFullIdle(t, e)
+				injectAmplifier(t, e)
+				if _, err := e.Run(context.Background()); err == nil || err.Error() != want {
+					t.Fatalf("replayed amplifying Run: got %v, want %q", err, want)
+				}
+				if d := diffSnapshots(snapshotFull(t, e), aborted); d != "" {
+					t.Fatalf("replay after abort and Reset diverges on %s", d)
+				}
+			})
 		}
-		rid, err := polka.ComputeMultipathRouteID(hops)
+	})
+}
+
+// injectAmplifier injects one packet of a cyclic multicast on the triangle
+// — s replicates to i and d, both send back to s — which MulticastRoute
+// would reject and only MaxInFlight and TTL stop.
+func injectAmplifier(t *testing.T, e *Engine) {
+	t.Helper()
+	var hops []polka.MultipathHop
+	for _, n := range []struct {
+		name    string
+		towards []string
+	}{{"s", []string{"i", "d"}}, {"i", []string{"s"}}, {"d", []string{"s"}}} {
+		sw, err := e.Domain().Switch(n.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Inject("s", Packet{RouteID: polka.RouteIDBytes(rid), Mode: Multicast, Size: 1}); err != nil {
+		node, err := e.Topology().Node(n.name)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Run(context.Background()); err == nil || err.Error() != capErrText(8, 4) {
-			t.Fatalf("amplifying Run: got %v, want %q", err, capErrText(8, 4))
+		var mask uint64
+		for _, to := range n.towards {
+			p, err := node.Port(to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mask |= 1 << p
 		}
-	})
+		hops = append(hops, polka.MultipathHop{NodeID: sw.NodeID(), Ports: mask})
+	}
+	rid, err := polka.ComputeMultipathRouteID(hops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Inject("s", Packet{RouteID: polka.RouteIDBytes(rid), Mode: Multicast, Size: 1}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // deliveredKey projects a delivered packet onto its comparable identity:
 // everything the engine stamps, excluding the shared Proof pointer.
 type deliveredKey struct {
-	ID     uint64
-	TTL    int
-	Size   int
-	Mode   Mode
-	Egress string
-	Acc    string
-	RID    string
+	ID        uint64
+	TTL       int
+	Size      int
+	Mode      Mode
+	Egress    string
+	Acc       string
+	RID       string
+	ArrivalNs int64
 }
 
 func deliveredKeys(pkts []Packet) []deliveredKey {
@@ -207,7 +298,7 @@ func deliveredKeys(pkts []Packet) []deliveredKey {
 	for i, pkt := range pkts {
 		out[i] = deliveredKey{
 			ID: pkt.ID, TTL: pkt.TTL, Size: pkt.Size, Mode: pkt.Mode,
-			Egress: pkt.Egress, Acc: pkt.Acc.String(), RID: string(pkt.RouteID),
+			Egress: pkt.Egress, Acc: pkt.Acc.String(), RID: string(pkt.RouteID), ArrivalNs: pkt.ArrivalNs,
 		}
 	}
 	return out

@@ -18,19 +18,36 @@ type fullLink struct {
 	port uint64
 	dst  int32
 	path *link.FullPath
+	// dueAt and duePass are the link's key in fullState.due while pos ≥ 0,
+	// its position there; see fullState.file.
+	dueAt   link.Time
+	duePass uint32
+	pos     int32
+	// dirty marks a link offered a frame since the last Reset.
+	dirty bool
 }
 
 // fullState is the engine's LinkFull machinery: one FullPath per directed
 // link, an arena of in-flight packets (Frame.Seq carries the arena slot,
-// so no per-hop boxing allocates), and the virtual clock.
+// so no per-hop boxing allocates), the virtual clock, and the event core —
+// a min-heap of the links holding frames, keyed by earliest arrival.
 type fullState struct {
-	links  []*fullLink
+	links  []fullLink
 	byPort [][]int32 // node index → port → index into links, or -1
 	arena  []Packet
 	free   []int32
 	now    link.Time
 	// inFlight counts packets currently on a wire (arena occupancy).
 	inFlight int
+	// due is a binary min-heap of link indices ordered by (dueAt, duePass,
+	// index). An event step drains the links due at now in increasing
+	// index, once each: pass numbers the steps taken at the instant now,
+	// and cursor is the link being drained (-1 between steps).
+	due    []int32
+	pass   uint32
+	cursor int32
+	// dirty lists the links Reset has to touch.
+	dirty []int32
 }
 
 // resolveLinkConfig applies the template semantics of Config.Link to one
@@ -68,7 +85,7 @@ func linkSeed(engineSeed int64, from, to string) int64 {
 // newFullState builds one FullPath per directed link of the forwarding
 // plane, including egress links toward delivery endpoints.
 func newFullState(e *Engine) (*fullState, error) {
-	fs := &fullState{byPort: make([][]int32, len(e.nodes))}
+	fs := &fullState{byPort: make([][]int32, len(e.nodes)), cursor: -1}
 	for i, ns := range e.nodes {
 		ports := make([]int32, len(ns.next))
 		for port := range ports {
@@ -84,11 +101,12 @@ func newFullState(e *Engine) (*fullState, error) {
 			}
 			cfg := resolveLinkConfig(e.cfg.Link, tl.Attrs, linkSeed(e.cfg.Seed, ns.name, ns.neighbor[port]))
 			ports[port] = int32(len(fs.links))
-			fs.links = append(fs.links, &fullLink{
+			fs.links = append(fs.links, fullLink{
 				src:  int32(i),
 				port: uint64(port),
 				dst:  ns.next[port],
 				path: link.NewFullPath(cfg),
+				pos:  -1,
 			})
 		}
 		fs.byPort[i] = ports
@@ -112,6 +130,102 @@ func (fs *fullState) alloc(pkt Packet) int32 {
 func (fs *fullState) release(slot int32) {
 	fs.arena[slot] = Packet{}
 	fs.free = append(fs.free, slot)
+}
+
+// dueLess orders two links of the due heap.
+func (fs *fullState) dueLess(a, b int32) bool {
+	la, lb := &fs.links[a], &fs.links[b]
+	if la.dueAt != lb.dueAt {
+		return la.dueAt < lb.dueAt
+	}
+	if la.duePass != lb.duePass {
+		return la.duePass < lb.duePass
+	}
+	return a < b
+}
+
+// dueSet stores link li at heap position i.
+func (fs *fullState) dueSet(i int, li int32) {
+	fs.due[i] = li
+	fs.links[li].pos = int32(i)
+}
+
+// dueFix restores heap order around position i after its key changed.
+func (fs *fullState) dueFix(i int) {
+	li := fs.due[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !fs.dueLess(li, fs.due[parent]) {
+			break
+		}
+		fs.dueSet(i, fs.due[parent])
+		i = parent
+	}
+	for n := len(fs.due); ; {
+		c := 2*i + 1
+		if c+1 < n && fs.dueLess(fs.due[c+1], fs.due[c]) {
+			c++
+		}
+		if c >= n || !fs.dueLess(fs.due[c], li) {
+			break
+		}
+		fs.dueSet(i, fs.due[c])
+		i = c
+	}
+	fs.dueSet(i, li)
+}
+
+// file makes link li's entry in the due heap match the link: absent when
+// it holds no frame, else keyed by its earliest arrival. A link that comes
+// due at now while the step's cursor is at or past it is filed one pass
+// later — it waits for the next step, as a scan of the links in index
+// order would have passed it already.
+func (fs *fullState) file(li int32) {
+	l := &fs.links[li]
+	at, ok := l.path.Next()
+	switch {
+	case ok:
+		pass := uint32(0)
+		if at <= fs.now {
+			pass = fs.pass
+			if li <= fs.cursor {
+				pass++
+			}
+		}
+		if l.pos < 0 {
+			fs.due = append(fs.due, li)
+			l.pos = int32(len(fs.due) - 1)
+		} else if at == l.dueAt && pass == l.duePass {
+			return // a later frame joined a link already filed
+		}
+		l.dueAt, l.duePass = at, pass
+		fs.dueFix(int(l.pos))
+	case l.pos >= 0:
+		i, last := int(l.pos), len(fs.due)-1
+		l.pos = -1
+		moved := fs.due[last]
+		fs.due = fs.due[:last]
+		if i < last {
+			fs.dueSet(i, moved)
+			fs.dueFix(i)
+		}
+	}
+}
+
+// reset returns the link tier to its state after New: the links an op
+// touched idle and re-seeded, the clock at zero, every buffer kept.
+func (fs *fullState) reset() {
+	for _, li := range fs.dirty {
+		l := &fs.links[li]
+		l.path.Reset()
+		l.pos, l.dirty = -1, false
+	}
+	fs.dirty, fs.due = fs.dirty[:0], fs.due[:0]
+	if fs.inFlight > 0 {
+		clear(fs.arena) // an aborted Run left packets on wires
+	}
+	fs.arena, fs.free = fs.arena[:0], fs.free[:0]
+	fs.now, fs.inFlight, fs.pass, fs.cursor = 0, 0, 0, -1
 }
 
 // LinkStats returns the full-tier counters of the directed link from→to.
@@ -146,42 +260,46 @@ func (e *Engine) VirtualNow() link.Time {
 // forwarded at the current virtual time; every inter-switch (and egress)
 // handoff goes through that link's FullPath, so frames serialize, queue,
 // propagate, and may be lost. The loop then repeatedly advances the clock
-// to the earliest pending arrival and processes every frame due, in a
-// fixed link-scan order — fully deterministic for a given Config.Seed and
-// inject schedule. Stats.Rounds counts event batches here.
+// to the earliest pending arrival — the top of the due heap — and takes
+// one event step: every link due at that instant is drained, in increasing
+// link index, and re-filed under its next arrival. A frame forwarded
+// during the step onto a link the step has not reached yet is handled in
+// the same step; one landing at or behind the cursor waits for the next
+// step at the same instant (see fullState.file). A step costs
+// O(log links holding frames) per link drained and never visits an idle
+// link; the order is fully deterministic for a given Config.Seed and
+// inject schedule. Stats.Rounds counts event steps here.
 func (e *Engine) runFull(ctx context.Context) (Stats, error) {
 	fs := e.full
 	for i, ns := range e.nodes {
-		batch := ns.queue
-		ns.queue = nil
-		for _, pkt := range batch {
+		for _, pkt := range ns.queue {
 			e.forwardFull(i, ns, pkt, fs.now)
 		}
+		ns.queue = ns.queue[:0]
 	}
 	e.pending = 0
-	for fs.inFlight > 0 {
+	for len(fs.due) > 0 { // ⇔ fs.inFlight > 0: a link holding a frame is filed
 		select {
 		case <-ctx.Done():
 			return e.stats, ctx.Err()
 		default:
 		}
 		e.stats.Rounds++
-		var next link.Time
-		found := false
-		for _, l := range fs.links {
-			if t, ok := l.path.Next(); ok && (!found || t < next) {
-				next, found = t, true
+		if next := fs.links[fs.due[0]].dueAt; next > fs.now {
+			fs.now, fs.pass = next, 0
+		}
+		for len(fs.due) > 0 {
+			li := fs.due[0]
+			l := &fs.links[li]
+			if l.dueAt > fs.now || l.dueAt == fs.now && l.duePass > fs.pass {
+				break
 			}
-		}
-		if !found {
-			break
-		}
-		if next > fs.now {
-			fs.now = next
-		}
-		for _, l := range fs.links {
+			fs.cursor = li
 			for {
 				if n := e.inFlight(); n > e.cfg.MaxInFlight {
+					// Leave the heap describing li's remaining frames.
+					fs.cursor = -1
+					fs.file(li)
 					return e.stats, e.errCap(n)
 				}
 				f, ok := l.path.Pop(fs.now)
@@ -190,7 +308,10 @@ func (e *Engine) runFull(ctx context.Context) (Stats, error) {
 				}
 				e.arriveFull(l, f)
 			}
+			fs.file(li)
 		}
+		fs.cursor = -1
+		fs.pass++
 	}
 	return e.stats, nil
 }
@@ -248,7 +369,12 @@ func (e *Engine) emitFull(idx int, ns *nodeState, pkt Packet, port uint64, now l
 		pkt.Path = path
 	}
 	fs := e.full
-	l := fs.links[fs.byPort[idx][port]]
+	li := fs.byPort[idx][port]
+	l := &fs.links[li]
+	if !l.dirty {
+		l.dirty = true
+		fs.dirty = append(fs.dirty, li)
+	}
 	slot := fs.alloc(pkt)
 	switch l.path.Send(now, link.Frame{Seq: uint64(slot), Size: pkt.Size}) {
 	case link.DropQueue:
@@ -263,6 +389,7 @@ func (e *Engine) emitFull(idx int, ns *nodeState, pkt Packet, port uint64, now l
 		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port, TTL: pkt.TTL, Drop: DropLoss})
 	case link.Accepted:
 		fs.inFlight++
+		fs.file(li)
 		if l.dst >= 0 {
 			ns.stats.Tx++
 			ns.stats.Egress[port]++

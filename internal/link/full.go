@@ -1,9 +1,6 @@
 package link
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // FullConfig tunes a FullPath link.
 type FullConfig struct {
@@ -28,31 +25,61 @@ type FullConfig struct {
 	Seed int64
 }
 
-// inflight is one frame on the wire, keyed for the arrival heap.
+// inflight is one frame on the wire, keyed for the arrival heap by its
+// stamped Arrival.
 type inflight struct {
-	at    Time
 	order uint64 // insertion tie-break: equal arrivals deliver in send order
 	frame Frame
 }
 
-// arrivalHeap is a min-heap over (arrival time, insertion order).
+// before orders frames by (arrival time, insertion order).
+func (a inflight) before(b inflight) bool {
+	if a.frame.Arrival != b.frame.Arrival {
+		return a.frame.Arrival < b.frame.Arrival
+	}
+	return a.order < b.order
+}
+
+// arrivalHeap is a binary min-heap over (arrival time, insertion order),
+// sifted on the concrete type: container/heap would box every inflight
+// through an interface, two allocations per frame.
 type arrivalHeap []inflight
 
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *arrivalHeap) push(it inflight) {
+	s := append(*h, it)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].order < h[j].order
+	s[i] = it
+	*h = s
 }
-func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x interface{}) { *h = append(*h, x.(inflight)) }
-func (h *arrivalHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// pop removes the earliest frame; the heap must not be empty.
+func (h *arrivalHeap) pop() inflight {
+	s := *h
+	top, n := s[0], len(s)-1
+	it := s[n]
+	s = s[:n]
+	for i := 0; n > 0; {
+		c := 2*i + 1
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if c >= n || !s[c].before(it) {
+			s[i] = it
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // FullPath is the full tier: a per-link state machine modeling
@@ -62,11 +89,15 @@ func (h *arrivalHeap) Pop() interface{} {
 // equal Send schedule, two FullPaths produce byte-identical behavior.
 type FullPath struct {
 	cfg  FullConfig
-	rng  *rand.Rand
+	rng  *rand.Rand // nil on a link that never draws: no loss model, no reorder
 	loss lossState
 
-	lastTxEnd  Time
-	txEnds     []Time // serialization-completion times of queued frames
+	lastTxEnd Time
+	// txEnds[txHead:] are the serialization-completion times of the queued
+	// frames. They are non-decreasing (each frame starts no earlier than
+	// the previous one ended), so the frames done by now are a prefix.
+	txEnds     []Time
+	txHead     int
 	flight     arrivalHeap
 	order      uint64
 	maxArrival Time
@@ -75,11 +106,25 @@ type FullPath struct {
 
 // NewFullPath builds a full-tier link.
 func NewFullPath(cfg FullConfig) *FullPath {
-	return &FullPath{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		loss: lossState{cfg: cfg.Loss},
+	p := &FullPath{cfg: cfg, loss: lossState{cfg: cfg.Loss}}
+	if cfg.Loss.Kind != LossNone || cfg.ReorderProb > 0 {
+		p.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
+	return p
+}
+
+// Reset returns the link to the state NewFullPath(p.Config()) builds —
+// idle, counters zero, random stream re-seeded — keeping its buffers, so a
+// link reused across runs replays identically without allocating.
+func (p *FullPath) Reset() {
+	if p.rng != nil {
+		p.rng.Seed(p.cfg.Seed)
+	}
+	p.loss.bad = false
+	p.lastTxEnd, p.maxArrival, p.order = 0, 0, 0
+	p.txEnds, p.txHead = p.txEnds[:0], 0
+	p.flight = p.flight[:0]
+	p.stats = Stats{queueDelaysMs: p.stats.queueDelaysMs[:0]}
 }
 
 // Config returns the link's configuration.
@@ -98,18 +143,21 @@ func (p *FullPath) Config() FullConfig { return p.cfg }
 func (p *FullPath) Send(now Time, f Frame) Verdict {
 	lost := p.loss.drop(p.rng)
 
-	// Prune frames that finished serializing; what remains is the queue.
-	keep := 0
-	for _, end := range p.txEnds {
-		if end > now {
-			p.txEnds[keep] = end
-			keep++
-		}
+	// Frames that finished serializing leave at the head; what remains is
+	// the queue.
+	for p.txHead < len(p.txEnds) && p.txEnds[p.txHead] <= now {
+		p.txHead++
 	}
-	p.txEnds = p.txEnds[:keep]
-	if p.cfg.QueuePkts > 0 && keep >= p.cfg.QueuePkts {
+	depth := len(p.txEnds) - p.txHead
+	if p.cfg.QueuePkts > 0 && depth >= p.cfg.QueuePkts {
 		p.stats.QueueDrops++
 		return DropQueue
+	}
+	// Slide the live entries down once the dead prefix outweighs them, so
+	// the array stops growing at twice the deepest queue.
+	if p.txHead > depth {
+		p.txEnds = p.txEnds[:copy(p.txEnds, p.txEnds[p.txHead:])]
+		p.txHead = 0
 	}
 
 	txStart := now
@@ -124,8 +172,8 @@ func (p *FullPath) Send(now Time, f Frame) Verdict {
 	txEnd := txStart + txTime
 	p.lastTxEnd = txEnd
 	p.txEnds = append(p.txEnds, txEnd)
-	if d := len(p.txEnds); d > p.stats.MaxQueueDepth {
-		p.stats.MaxQueueDepth = d
+	if depth++; depth > p.stats.MaxQueueDepth {
+		p.stats.MaxQueueDepth = depth
 	}
 	p.stats.queueDelaysMs = append(p.stats.queueDelaysMs, (txStart - now).Ms())
 
@@ -144,7 +192,7 @@ func (p *FullPath) Send(now Time, f Frame) Verdict {
 		p.maxArrival = arrival
 	}
 	f.Arrival = arrival
-	heap.Push(&p.flight, inflight{at: arrival, order: p.order, frame: f})
+	p.flight.push(inflight{order: p.order, frame: f})
 	p.order++
 	p.stats.Sent++
 	return Accepted
@@ -155,19 +203,18 @@ func (p *FullPath) Next() (Time, bool) {
 	if len(p.flight) == 0 {
 		return 0, false
 	}
-	return p.flight[0].at, true
+	return p.flight[0].frame.Arrival, true
 }
 
 // Pop removes and returns the earliest pending frame if it has arrived by
 // now — the single-frame form the dataplane engine's event loop uses to
 // avoid slice churn.
 func (p *FullPath) Pop(now Time) (Frame, bool) {
-	if len(p.flight) == 0 || p.flight[0].at > now {
+	if len(p.flight) == 0 || p.flight[0].frame.Arrival > now {
 		return Frame{}, false
 	}
-	it := heap.Pop(&p.flight).(inflight)
 	p.stats.Delivered++
-	return it.frame, true
+	return p.flight.pop().frame, true
 }
 
 // Recv appends every frame arrived by now to buf, in arrival order.
@@ -184,5 +231,10 @@ func (p *FullPath) Recv(now Time, buf []Frame) []Frame {
 // Pending counts frames accepted but not yet received.
 func (p *FullPath) Pending() int { return len(p.flight) }
 
-// Stats returns a snapshot of the link counters.
-func (p *FullPath) Stats() Stats { return p.stats }
+// Stats returns a snapshot of the link counters. The sojourn samples are
+// copied: the link appends to, and Reset truncates, its own array.
+func (p *FullPath) Stats() Stats {
+	s := p.stats
+	s.queueDelaysMs = append([]float64(nil), s.queueDelaysMs...)
+	return s
+}

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -248,5 +249,133 @@ func TestSplitSeedSpreads(t *testing.T) {
 	}
 	if SplitSeed(1, 5) == SplitSeed(2, 5) {
 		t.Fatal("SplitSeed ignores the seed")
+	}
+}
+
+// resetConfigs are the link models FullPath.Reset is checked on: one that
+// never draws, and one for each consumer of the random stream.
+var resetConfigs = []struct {
+	name string
+	cfg  FullConfig
+}{
+	{"lossless", FullConfig{RateMbps: 8, DelayMs: 2, QueuePkts: 4}},
+	{"bernoulli", FullConfig{RateMbps: 8, DelayMs: 2, QueuePkts: 4, Loss: Bernoulli(0.2), Seed: 5}},
+	{"gilbert-elliott", FullConfig{RateMbps: 8, Loss: GilbertElliott(0.3, 0.1, 0, 0.9), Seed: 6}},
+	{"reorder", FullConfig{DelayMs: 1, ReorderProb: 0.3, ReorderWindowMs: 4, Seed: 7}},
+}
+
+// schedule is everything a link shows while it is driven: the verdict of
+// each Send, the frames received after each, and the final drain.
+type schedule struct {
+	verdicts []Verdict
+	frames   []Frame
+	next     []Time
+	stats    Stats
+}
+
+// drive offers n frames, one every gap, receiving as it goes, then drains.
+func drive(p *FullPath, n int, gap Time, size int) schedule {
+	var s schedule
+	for i := 0; i < n; i++ {
+		now := Time(i) * gap
+		s.verdicts = append(s.verdicts, p.Send(now, Frame{Seq: uint64(i), Size: size}))
+		at, _ := p.Next()
+		s.next = append(s.next, at)
+		s.frames = p.Recv(now, s.frames)
+	}
+	s.frames = p.Recv(Ms(1e6), s.frames)
+	s.stats = p.Stats()
+	return s
+}
+
+// TestFullPathResetEqualsNew pins FullPath.Reset ≡ NewFullPath: a link
+// that was used — and left mid-flight, its queue full, its loss model in
+// the bad state — then Reset, shows the same schedule as a fresh one.
+func TestFullPathResetEqualsNew(t *testing.T) {
+	for _, c := range resetConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			used := NewFullPath(c.cfg)
+			// Dirty it with another schedule, stopping with frames still on
+			// the wire and, for Gilbert-Elliott, in the bad state.
+			for i := 0; i < 500 || (c.cfg.Loss.Kind == LossGilbertElliott && !used.loss.bad); i++ {
+				used.Send(Time(i)*Ms(0.3), Frame{Seq: uint64(i), Size: 700})
+			}
+			if used.Pending() == 0 {
+				t.Fatal("the used link holds no frame; Reset has nothing to discard")
+			}
+			used.Reset()
+			if _, ok := used.Next(); ok || used.Pending() != 0 {
+				t.Fatal("Reset left frames on the wire")
+			}
+			got, want := drive(used, 400, Ms(0.4), 1000), drive(NewFullPath(c.cfg), 400, Ms(0.4), 1000)
+			if !reflect.DeepEqual(got, want) {
+				got.stats.queueDelaysMs, want.stats.queueDelaysMs = nil, nil // keep the message short
+				t.Fatalf("reset link diverges from a fresh one:\nreset %+v\nfresh %+v", got.stats, want.stats)
+			}
+			if c.cfg.Loss.Kind != LossNone && want.stats.LossDrops == 0 {
+				t.Fatal("the schedule never lost a frame; the loss stream went unchecked")
+			}
+			if c.cfg.ReorderProb > 0 && want.stats.Reordered == 0 {
+				t.Fatal("the schedule never reordered; the jitter stream went unchecked")
+			}
+		})
+	}
+}
+
+// TestFullPathSteadyStateAllocatesNothing pins the allocation contract the
+// engine's full tier rides on: a warm link sends, receives and resets
+// without allocating, and a link that never draws builds no rand.Rand
+// (4.9 KB each — most of a k=16 fat-tree engine before this was pinned).
+func TestFullPathSteadyStateAllocatesNothing(t *testing.T) {
+	for _, c := range resetConfigs {
+		p := NewFullPath(c.cfg)
+		if draws := c.cfg.Loss.Kind != LossNone || c.cfg.ReorderProb > 0; (p.rng != nil) != draws {
+			t.Fatalf("%s: rng built = %v, link draws = %v", c.name, p.rng != nil, draws)
+		}
+		var buf []Frame
+		op := func() {
+			for i := 0; i < 64; i++ {
+				now := Time(i) * Ms(0.5)
+				p.Send(now, Frame{Seq: uint64(i), Size: 1000})
+				buf = p.Recv(now, buf[:0])
+			}
+			p.Reset()
+		}
+		op() // grow the buffers once
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Fatalf("%s: warm Send+Recv+Reset allocates %v times per run", c.name, n)
+		}
+		if n := testing.AllocsPerRun(20, p.Reset); n != 0 {
+			t.Fatalf("%s: Reset allocates %v times", c.name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { NewFullPath(resetConfigs[0].cfg) }); n > 1 {
+		t.Fatalf("a lossless NewFullPath allocates %v times, want the link alone", n)
+	}
+}
+
+// TestFullPathStatsSnapshotSurvivesReset pins that Stats hands out its own
+// copy of the sojourn samples: Reset truncates and the next run overwrites
+// the link's array, and a snapshot taken before must not change under it.
+func TestFullPathStatsSnapshotSurvivesReset(t *testing.T) {
+	p := NewFullPath(FullConfig{RateMbps: 8})
+	for i := 0; i < 100; i++ {
+		p.Send(0, Frame{Size: 1000}) // 1 ms each: sojourns 0..99 ms
+	}
+	snap := p.Stats()
+	p99, max := snap.QueueDelayP99Ms(), snap.QueueDelayMaxMs()
+	if p99 < 97 || max < 98.9 {
+		t.Fatalf("snapshot p99 %v max %v, want ~98 and ~99", p99, max)
+	}
+	p.Reset()
+	for i := 0; i < 100; i++ {
+		p.Send(Time(i)*Ms(5), Frame{Size: 1000}) // paced: no sojourn at all
+	}
+	if got := p.Stats().QueueDelayMaxMs(); got != 0 {
+		t.Fatalf("paced run queued for %v ms", got)
+	}
+	if snap.QueueDelayP99Ms() != p99 || snap.QueueDelayMaxMs() != max {
+		t.Fatalf("snapshot changed under Reset and re-run: p99 %v → %v, max %v → %v",
+			p99, snap.QueueDelayP99Ms(), max, snap.QueueDelayMaxMs())
 	}
 }

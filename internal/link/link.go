@@ -24,8 +24,8 @@
 // scenario asserts.
 //
 // Everything runs in deterministic virtual time (Time, int64 nanoseconds):
-// no wall clocks, one seeded rand.Rand per FullPath, heap ties broken by
-// insertion order. Two runs with the same seeds produce identical frame
+// no wall clocks, one seeded rand.Rand per FullPath that draws (a lossless,
+// in-order link builds none), heap ties broken by insertion order. Two runs with the same seeds produce identical frame
 // schedules, byte for byte — which is what lets the fleet dispatcher's
 // zero-tolerance artifact compares stay meaningful for loss scenarios.
 //
