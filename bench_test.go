@@ -14,9 +14,13 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/bus"
+	"repro/internal/controlplane"
 	"repro/internal/dataplane"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
@@ -24,6 +28,7 @@ import (
 	"repro/internal/hecate"
 	"repro/internal/link"
 	"repro/internal/ml"
+	"repro/internal/netem"
 	"repro/internal/polka"
 	"repro/internal/rl"
 	"repro/internal/srbase"
@@ -912,5 +917,192 @@ func BenchmarkLinkTransfer(b *testing.B) {
 	b.StopTimer()
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(segs)/s, "segs/s")
+	}
+}
+
+// labTunnels are the three lab tunnels the control loop places flows on.
+func labTunnels() []topo.Path {
+	return []topo.Path{topo.TunnelPath1(), topo.TunnelPath2(), topo.TunnelPath3()}
+}
+
+// addLoopFlows loads the emulator the way the repo benchmark's control-loop
+// workload does: 14 capped flows, 1–10 Mbps, spread over the three tunnels.
+func addLoopFlows(b *testing.B, emu *netem.Emulator) []netem.FlowID {
+	tunnels := labTunnels()
+	ids := make([]netem.FlowID, 14)
+	for i := range ids {
+		p := tunnels[i%len(tunnels)]
+		id, err := emu.AddFlow(netem.FlowSpec{
+			Name: fmt.Sprintf("f%d", i), Src: p.Nodes[0], Dst: p.Nodes[len(p.Nodes)-1],
+			Proto: 6, DemandMbps: float64(1 + i%10), Path: p,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return ids
+}
+
+// BenchmarkNetemTick times one fluid tick of the emulator in the control
+// loop's steady state — the lab, 14 capped flows — with link-utilization
+// recording off and on. A tick allocates nothing but the growth of the
+// series it records, which amortises below one allocation per op.
+func BenchmarkNetemTick(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		series bool
+	}{{"series-off", false}, {"series-on", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			emu := netem.New(lab, netem.Config{RecordLinkSeries: c.series})
+			addLoopFlows(b, emu)
+			// Past the ramp, and far enough that no series buffer reallocates
+			// within the 200 timed ticks of the pinned run (GOBENCH_2.json
+			// holds both cases at 0 B/op).
+			for i := 0; i < 1500; i++ {
+				emu.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				emu.Step()
+			}
+		})
+	}
+}
+
+// wigglySeries is a fixed n-sample history with structure at two periods
+// and seeded noise: enough variance that Hecate fits real forests to it.
+func wigglySeries(n int, seed uint64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		noise := float64(seed>>40)/float64(1<<24) - 0.5
+		out[i] = 10 + 4*math.Sin(float64(i)/7) + 2*math.Sin(float64(i)/2.3) + noise
+	}
+	return out
+}
+
+// BenchmarkHecateRecommend times one askHecatePath as the service computes
+// it: three candidate paths, Random Forests fitted to 120-sample
+// histories, a ten-step recursive forecast each from the last ten samples.
+func BenchmarkHecateRecommend(b *testing.B) {
+	opt, err := hecate.New(hecate.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recent := map[string][]float64{}
+	for i := 1; i <= 3; i++ {
+		name := fmt.Sprintf("tunnel%d", i)
+		hist := wigglySeries(120, uint64(i))
+		if err := opt.TrainPath(name, hist); err != nil {
+			b.Fatal(err)
+		}
+		recent[name] = hist[len(hist)-10:]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rec hecate.Recommendation
+	for i := 0; i < b.N; i++ {
+		if rec, err = opt.Recommend(recent, hecate.MaxBandwidth); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if rec.Path == "" {
+		b.Fatal("no recommendation")
+	}
+}
+
+// BenchmarkBusRequest times one request/reply round trip over the
+// in-process bus to an echo service on another goroutine: through a
+// long-lived bus.Requester (an inbox of its own, the control plane's
+// shape) and through the one-shot bus.Request, which subscribes per call.
+func BenchmarkBusRequest(b *testing.B) {
+	inproc := bus.NewInProc()
+	defer inproc.Close()
+	ch, cancel, err := inproc.Subscribe("echo")
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for req := range ch {
+			if reply, err := bus.Reply(req, req.ReplyTo, "return", struct{}{}); err == nil {
+				_ = inproc.Publish(reply) // a failed publish shows as the requester's timeout
+			}
+		}
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	b.Run("requester", func(b *testing.B) {
+		r, err := bus.NewRequester(inproc, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer r.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Request(bus.Message{Topic: "echo", Type: "ping"}, time.Second); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("one-shot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bus.Request(inproc, bus.Message{Topic: "echo", Type: "ping"}, "echo.reply", time.Second); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkControlLoopInsert times the paper's loop end to end, as the repo
+// benchmark's control-loop workload runs it: one emulated second (ten
+// ticks and a telemetry collection) and one optimizer-placed flow — three
+// telemetry queries, a Hecate forecast over Random Forests and a PolKA
+// tunnel binding, seven bus round trips across five service goroutines.
+func BenchmarkControlLoopInsert(b *testing.B) {
+	fw, err := controlplane.NewFramework(controlplane.FrameworkConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fw.Stop()
+	ctx := context.Background()
+	tunnels := labTunnels()
+	// Six background flows that keep moving between the tunnels, so the
+	// telemetry Hecate trains on is not flat.
+	bg := addLoopFlows(b, fw.Emu)[:6]
+	for t := 0; t < 120; t += 5 {
+		if err := fw.Emu.Reroute(bg[(t/5)%len(bg)], tunnels[(t/5+t/15)%len(tunnels)]); err != nil {
+			b.Fatal(err)
+		}
+		if err := fw.RunFor(ctx, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := fw.Control.TrainHecateContext(ctx, "max-bandwidth", 120); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fw.RunFor(ctx, 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fw.Dash.InsertNewFlow(controlplane.FlowRequest{
+			Name: fmt.Sprintf("req%d", i%8), ToS: uint8(i % 8), DemandMbps: float64(1 + i%10),
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -23,6 +25,11 @@ type Message struct {
 	Type string `json:"type"`
 	// CorrelationID ties replies to requests.
 	CorrelationID string `json:"correlation_id,omitempty"`
+	// ReplyTo, when set on a request, names the topic the requester
+	// listens on — its private inbox (see Requester). A service that
+	// honours it publishes the reply there instead of on its shared reply
+	// topic.
+	ReplyTo string `json:"reply_to,omitempty"`
 	// Payload is the message body, JSON-encoded.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
@@ -67,18 +74,27 @@ const subscriberBuffer = 256
 // InProc is the in-process Bus: goroutine-safe topic fan-out over
 // buffered channels.
 type InProc struct {
-	mu     sync.Mutex
-	subs   map[string]map[int]chan Message
+	mu sync.Mutex
+	// subs lists each topic's subscriptions in subscription (ID) order,
+	// which is the order Publish delivers in.
+	subs   map[string][]subscription
 	nextID int
 	closed bool
 }
 
-// NewInProc creates an in-process bus.
-func NewInProc() *InProc {
-	return &InProc{subs: make(map[string]map[int]chan Message)}
+type subscription struct {
+	id int
+	ch chan Message
 }
 
-// Publish implements Bus.
+// NewInProc creates an in-process bus.
+func NewInProc() *InProc {
+	return &InProc{subs: make(map[string][]subscription)}
+}
+
+// Publish implements Bus. Every subscriber of the topic with room gets
+// the message, in subscription order; if some were full, the error names
+// them after the others have been served.
 func (b *InProc) Publish(m Message) error {
 	if m.Topic == "" {
 		return errors.New("bus: message needs a topic")
@@ -88,12 +104,16 @@ func (b *InProc) Publish(m Message) error {
 	if b.closed {
 		return ErrClosed
 	}
-	for id, ch := range b.subs[m.Topic] {
+	var full []string
+	for _, sub := range b.subs[m.Topic] {
 		select {
-		case ch <- m:
+		case sub.ch <- m:
 		default:
-			return fmt.Errorf("bus: subscriber %d on %q is full (capacity %d)", id, m.Topic, subscriberBuffer)
+			full = append(full, strconv.Itoa(sub.id))
 		}
+	}
+	if full != nil {
+		return fmt.Errorf("bus: subscriber %s on %q is full (capacity %d)", strings.Join(full, ", "), m.Topic, subscriberBuffer)
 	}
 	return nil
 }
@@ -109,18 +129,26 @@ func (b *InProc) Subscribe(topic string) (<-chan Message, func(), error) {
 		return nil, nil, ErrClosed
 	}
 	ch := make(chan Message, subscriberBuffer)
-	if b.subs[topic] == nil {
-		b.subs[topic] = make(map[int]chan Message)
-	}
 	b.nextID++
 	id := b.nextID
-	b.subs[topic][id] = ch
+	b.subs[topic] = append(b.subs[topic], subscription{id: id, ch: ch})
 	cancel := func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if sub, ok := b.subs[topic][id]; ok {
-			delete(b.subs[topic], id)
-			close(sub)
+		subs := b.subs[topic]
+		for i, sub := range subs {
+			if sub.id != id {
+				continue
+			}
+			copy(subs[i:], subs[i+1:])
+			subs[len(subs)-1] = subscription{}
+			if subs = subs[:len(subs)-1]; len(subs) > 0 {
+				b.subs[topic] = subs
+			} else {
+				delete(b.subs, topic) // inbox topics come and go
+			}
+			close(sub.ch)
+			return
 		}
 	}
 	return ch, cancel, nil
@@ -134,11 +162,11 @@ func (b *InProc) Close() error {
 		return nil
 	}
 	b.closed = true
-	for _, topicSubs := range b.subs {
-		for id, ch := range topicSubs {
-			close(ch)
-			delete(topicSubs, id)
+	for topic, subs := range b.subs {
+		for _, sub := range subs {
+			close(sub.ch)
 		}
+		delete(b.subs, topic)
 	}
 	return nil
 }

@@ -218,3 +218,68 @@ func TestNewCorrelationIDUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// TestInProcPublishServesTheOthersWhenOneIsFull: a full subscriber costs
+// the publisher an error naming it, and costs the other subscribers of
+// the topic nothing — whichever position it holds.
+func TestInProcPublishServesTheOthersWhenOneIsFull(t *testing.T) {
+	b := NewInProc()
+	defer b.Close()
+	var chans [3]<-chan Message
+	for i := range chans {
+		ch, cancel, err := b.Subscribe("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		chans[i] = ch
+	}
+	// Fill all three, then drain the outer two: only the middle is full.
+	for i := 0; i < subscriberBuffer; i++ {
+		if err := b.Publish(Message{Topic: "t", Type: "fill"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{0, 2} {
+		for n := 0; n < subscriberBuffer; n++ {
+			<-chans[i]
+		}
+	}
+	for round := 0; round < 20; round++ {
+		err := b.Publish(Message{Topic: "t", Type: "m"})
+		if err == nil || !strings.Contains(err.Error(), "subscriber 2 on") || !strings.Contains(err.Error(), "full") {
+			t.Fatalf("publish with the middle subscriber full = %v, want an error naming subscriber 2", err)
+		}
+		for _, i := range []int{0, 2} {
+			select {
+			case m := <-chans[i]:
+				if m.Type != "m" {
+					t.Fatalf("subscriber %d got %+v", i+1, m)
+				}
+			default:
+				t.Fatalf("round %d: subscriber %d was skipped because subscriber 2 is full", round, i+1)
+			}
+		}
+	}
+	// Two full ones are both named, in subscription order.
+	for i := 0; i < subscriberBuffer; i++ {
+		_ = b.Publish(Message{Topic: "t", Type: "fill"})
+	}
+	for n := 0; n < subscriberBuffer; n++ {
+		<-chans[0]
+	}
+	if err := b.Publish(Message{Topic: "t", Type: "m"}); err == nil || !strings.Contains(err.Error(), "subscriber 2, 3 on") {
+		t.Errorf("publish with two full subscribers = %v", err)
+	}
+}
+
+func TestReplyToOnTheWire(t *testing.T) {
+	with, err := json.Marshal(Message{Topic: "t", Type: "m", ReplyTo: "caller.inbox.1"})
+	if err != nil || !strings.Contains(string(with), `"reply_to":"caller.inbox.1"`) {
+		t.Errorf("request with an inbox marshals to %s, %v", with, err)
+	}
+	without, err := json.Marshal(Message{Topic: "t", Type: "m"})
+	if err != nil || strings.Contains(string(without), "reply_to") {
+		t.Errorf("message without an inbox marshals to %s, %v", without, err)
+	}
+}

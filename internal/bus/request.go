@@ -1,8 +1,12 @@
 package bus
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
+	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,40 +19,100 @@ func NewCorrelationID() string {
 	return "c" + strconv.FormatInt(correlationCounter.Add(1), 10)
 }
 
-// Request publishes a request on reqTopic and waits for the reply carrying
-// the same correlation ID on replyTopic. It is the synchronous
-// request/reply idiom of the sequence diagram (askHecatePath → return,
-// configureTunnel → return). The subscription is created before the
-// publish, so the reply cannot be lost to a race.
-func Request(b Bus, req Message, replyTopic string, timeout time.Duration) (Message, error) {
+// Requester is the synchronous request/reply idiom of the sequence
+// diagram (askHecatePath → return, configureTunnel → return) for a caller
+// that makes many requests: it subscribes once to an inbox topic of its
+// own, stamps that topic into every request's ReplyTo, and waits on it for
+// the reply carrying the request's correlation ID. A service that honours
+// ReplyTo therefore answers this caller alone, where replies on a shared
+// "<topic>.reply" reach every requester of the service, and a request
+// costs two publishes and no subscription.
+//
+// One request is in flight at a time; concurrent callers queue.
+type Requester struct {
+	b      Bus
+	inbox  string
+	ch     <-chan Message
+	cancel func()
+
+	mu sync.Mutex // serialises Request
+}
+
+// processTag tells this process's inbox topics from those of the other
+// processes on a shared broker.
+var processTag = sync.OnceValue(func() string {
+	var b [6]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "pid" + strconv.Itoa(os.Getpid())
+	}
+	return hex.EncodeToString(b[:])
+})
+
+var inboxCounter atomic.Int64
+
+// NewRequester subscribes to a fresh inbox topic, "<name>.inbox.<unique>";
+// name only labels it (the caller's role, say "controller"). Close
+// releases the subscription.
+func NewRequester(b Bus, name string) (*Requester, error) {
+	return newRequester(b, fmt.Sprintf("%s.inbox.%s-%d", name, processTag(), inboxCounter.Add(1)))
+}
+
+func newRequester(b Bus, inbox string) (*Requester, error) {
+	ch, cancel, err := b.Subscribe(inbox)
+	if err != nil {
+		return nil, err
+	}
+	return &Requester{b: b, inbox: inbox, ch: ch, cancel: cancel}, nil
+}
+
+// Request publishes req, with ReplyTo set to the inbox and a fresh
+// correlation ID unless it carries one, and waits up to timeout for the
+// reply with that ID. Anything else found in the inbox — the late reply to
+// an earlier request that timed out — is discarded. It returns ErrClosed
+// once the bus or the requester is closed.
+func (r *Requester) Request(req Message, timeout time.Duration) (Message, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if req.CorrelationID == "" {
 		req.CorrelationID = NewCorrelationID()
 	}
-	ch, cancel, err := b.Subscribe(replyTopic)
-	if err != nil {
-		return Message{}, err
-	}
-	defer cancel()
-	if err := b.Publish(req); err != nil {
+	req.ReplyTo = r.inbox
+	if err := r.b.Publish(req); err != nil {
 		return Message{}, err
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		select {
-		case m, ok := <-ch:
+		case m, ok := <-r.ch:
 			if !ok {
 				return Message{}, ErrClosed
 			}
 			if m.CorrelationID == req.CorrelationID {
 				return m, nil
 			}
-			// A reply to someone else's request; keep waiting.
 		case <-deadline.C:
 			return Message{}, fmt.Errorf("bus: request %s/%s timed out after %v waiting on %q",
-				req.Topic, req.Type, timeout, replyTopic)
+				req.Topic, req.Type, timeout, r.inbox)
 		}
 	}
+}
+
+// Close releases the inbox subscription; a request in flight returns
+// ErrClosed. Closing twice is harmless.
+func (r *Requester) Close() { r.cancel() }
+
+// Request makes one request on a throw-away Requester whose inbox is
+// replyTopic: for a caller with a single request to make, or a service
+// that answers on a fixed topic and ignores ReplyTo. The subscription is
+// created before the publish, so the reply cannot be lost to a race.
+func Request(b Bus, req Message, replyTopic string, timeout time.Duration) (Message, error) {
+	r, err := newRequester(b, replyTopic)
+	if err != nil {
+		return Message{}, err
+	}
+	defer r.Close()
+	return r.Request(req, timeout)
 }
 
 // Reply constructs the reply message for a request: same correlation ID,

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/bus"
@@ -17,11 +19,20 @@ import (
 // and instructs the PolKA Service to establish (or retarget) the tunnel
 // binding.
 type Controller struct {
-	loop      *serviceLoop
-	b         bus.Bus
-	tunnelIDs []int
-	lag       int
-	timeout   time.Duration
+	loop    *serviceLoop
+	client  *client
+	tunnels []candidate
+	lag     int
+}
+
+// candidate is one tunnel flows may be placed on, with the names the
+// controller uses for it on the wire, built once.
+type candidate struct {
+	id int
+	// name is the tunnel's telemetry name, "tunnel<id>".
+	name string
+	// bandwidthKey, rttKey and utilKey are its telemetry series.
+	bandwidthKey, rttKey, utilKey string
 }
 
 // ControllerConfig tunes the controller.
@@ -49,49 +60,63 @@ func NewController(b bus.Bus, cfg ControllerConfig) (*Controller, error) {
 	ids := make([]int, len(cfg.TunnelIDs))
 	copy(ids, cfg.TunnelIDs)
 	sort.Ints(ids)
-	c := &Controller{b: b, tunnelIDs: ids, lag: cfg.Lag, timeout: cfg.RequestTimeout}
-	loop, err := startService(b, TopicController, "controller", c.handle)
-	if err != nil {
+	c := &Controller{lag: cfg.Lag}
+	for _, id := range ids {
+		name := tunnelName(id)
+		c.tunnels = append(c.tunnels, candidate{
+			id: id, name: name,
+			bandwidthKey: telemetry.PathBandwidthKey(name),
+			rttKey:       telemetry.PathRTTKey(name),
+			utilKey:      telemetry.PathUtilKey(name),
+		})
+	}
+	var err error
+	if c.client, err = newClient(b, "controller", cfg.RequestTimeout); err != nil {
 		return nil, err
 	}
-	c.loop = loop
+	if c.loop, err = startService(b, TopicController, "controller", c.handle); err != nil {
+		c.client.close()
+		return nil, err
+	}
 	return c, nil
 }
 
-// request is a convenience wrapper for a downstream service call.
-func (c *Controller) request(topic, msgType string, payload interface{}) (bus.Message, error) {
-	p, err := bus.EncodePayload(payload)
-	if err != nil {
-		return bus.Message{}, err
-	}
-	reply, err := bus.Request(c.b, bus.Message{Topic: topic, Type: msgType, Payload: p}, ReplyTopic(topic), c.timeout)
-	if err != nil {
-		return bus.Message{}, err
-	}
-	if reply.Type == MsgError {
-		var e ErrorReply
-		if derr := bus.DecodePayload(reply, &e); derr == nil {
-			return bus.Message{}, fmt.Errorf("controlplane: %s/%s failed: %s", topic, msgType, e.Error)
-		}
-		return bus.Message{}, fmt.Errorf("controlplane: %s/%s failed", topic, msgType)
-	}
-	return reply, nil
-}
-
-// qosKeyFor maps an objective to the telemetry series the optimizer
-// should predict over: available bandwidth for max-bandwidth, probe RTT
-// for min-latency.
-func qosKeyFor(objective string, tunnel int) (string, error) {
+// qosKey maps an objective to the telemetry series of the tunnel the
+// optimizer should predict over: available bandwidth for max-bandwidth,
+// probe RTT for min-latency.
+func (t *candidate) qosKey(objective string) (string, error) {
 	switch objective {
 	case "", "max-bandwidth":
-		return telemetry.PathBandwidthKey(tunnelName(tunnel)), nil
+		return t.bandwidthKey, nil
 	case "min-latency":
-		return telemetry.PathRTTKey(tunnelName(tunnel)), nil
+		return t.rttKey, nil
 	case "min-max-utilization":
-		return telemetry.PathUtilKey(tunnelName(tunnel)), nil
+		return t.utilKey, nil
 	default:
 		return "", fmt.Errorf("controlplane: unknown objective %q", objective)
 	}
+}
+
+// histories fetches the last n samples of every candidate tunnel's series
+// for the objective (getTelemetry per tunnel), keyed by tunnel name.
+func (c *Controller) histories(ctx context.Context, objective string, n int) (map[string][]float64, error) {
+	out := make(map[string][]float64, len(c.tunnels))
+	for i := range c.tunnels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		t := &c.tunnels[i]
+		key, err := t.qosKey(objective)
+		if err != nil {
+			return nil, err
+		}
+		var tr TelemetryReply
+		if err := c.client.call(TopicTelemetry, MsgGetTelemetry, TelemetryQuery{Key: key, LastN: n}, &tr); err != nil {
+			return nil, err
+		}
+		out[t.name] = tr.Values
+	}
+	return out, nil
 }
 
 // handle processes one newFlow request end to end.
@@ -110,52 +135,31 @@ func (c *Controller) handle(m bus.Message) (interface{}, error) {
 	tunnelID := req.PinTunnel
 	score := 0.0
 	if tunnelID == 0 {
-		// getTelemetry per candidate tunnel.
-		histories := make(map[string][]float64, len(c.tunnelIDs))
-		for _, id := range c.tunnelIDs {
-			key, err := qosKeyFor(req.Objective, id)
-			if err != nil {
-				return nil, err
-			}
-			reply, err := c.request(TopicTelemetry, MsgGetTelemetry, TelemetryQuery{Key: key, LastN: c.lag})
-			if err != nil {
-				return nil, err
-			}
-			var tr TelemetryReply
-			if err := bus.DecodePayload(reply, &tr); err != nil {
-				return nil, err
-			}
-			histories[tunnelName(id)] = tr.Values
+		// The handler's requests are bounded by the round-trip timeout,
+		// not by a context.
+		histories, err := c.histories(context.Background(), req.Objective, c.lag)
+		if err != nil {
+			return nil, err
 		}
 		// askHecatePath.
-		reply, err := c.request(TopicHecate, MsgAskHecatePath, PathQoSRequest{
-			Objective: req.Objective, Histories: histories,
-		})
-		if err != nil {
-			return nil, err
-		}
 		var rec PathQoSReply
-		if err := bus.DecodePayload(reply, &rec); err != nil {
+		if err := c.client.call(TopicHecate, MsgAskHecatePath, PathQoSRequest{
+			Objective: req.Objective, Histories: histories,
+		}, &rec); err != nil {
 			return nil, err
 		}
-		id, err := tunnelIDFromName(rec.Path)
-		if err != nil {
+		if tunnelID, err = c.tunnelIDFromName(rec.Path); err != nil {
 			return nil, err
 		}
-		tunnelID = id
 		score = rec.Score
 	}
 
 	// configureTunnel.
-	reply, err := c.request(TopicPolka, MsgConfigureTunnel, TunnelConfigRequest{
+	var conf TunnelConfigReply
+	if err := c.client.call(TopicPolka, MsgConfigureTunnel, TunnelConfigRequest{
 		FlowName: req.Name, TunnelID: tunnelID,
 		ToS: req.ToS, DemandMbps: req.DemandMbps,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var conf TunnelConfigReply
-	if err := bus.DecodePayload(reply, &conf); err != nil {
+	}, &conf); err != nil {
 		return nil, err
 	}
 	return FlowResponse{
@@ -166,13 +170,22 @@ func (c *Controller) handle(m bus.Message) (interface{}, error) {
 	}, nil
 }
 
-// tunnelIDFromName parses "tunnelN" back to N.
-func tunnelIDFromName(name string) (int, error) {
-	var id int
-	if _, err := fmt.Sscanf(name, "tunnel%d", &id); err != nil {
-		return 0, fmt.Errorf("controlplane: bad tunnel name %q: %w", name, err)
+// tunnelIDFromName parses a candidate's name, "tunnel<id>" exactly as
+// tunnelName writes it, back to its ID; anything else — trailing
+// characters, a sign, leading zeros, a tunnel that is not a candidate —
+// is refused.
+func (c *Controller) tunnelIDFromName(name string) (int, error) {
+	digits, ok := strings.CutPrefix(name, "tunnel")
+	id, err := strconv.Atoi(digits)
+	if !ok || err != nil {
+		return 0, fmt.Errorf("controlplane: bad tunnel name %q", name)
 	}
-	return id, nil
+	for i := range c.tunnels {
+		if t := &c.tunnels[i]; t.id == id && t.name == name {
+			return id, nil
+		}
+	}
+	return 0, fmt.Errorf("controlplane: %q is not a candidate tunnel", name)
 }
 
 // TrainHecate pushes full per-tunnel telemetry histories to the Hecate
@@ -187,36 +200,25 @@ func (c *Controller) TrainHecate(objective string, historyLen int) error {
 // the context is consulted before each so cancellation cuts the fan
 // short.
 func (c *Controller) TrainHecateContext(ctx context.Context, objective string, historyLen int) error {
-	histories := make(map[string][]float64, len(c.tunnelIDs))
-	for _, id := range c.tunnelIDs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		key, err := qosKeyFor(objective, id)
-		if err != nil {
-			return err
-		}
-		reply, err := c.request(TopicTelemetry, MsgGetTelemetry, TelemetryQuery{Key: key, LastN: historyLen})
-		if err != nil {
-			return err
-		}
-		var tr TelemetryReply
-		if err := bus.DecodePayload(reply, &tr); err != nil {
-			return err
-		}
-		histories[tunnelName(id)] = tr.Values
+	histories, err := c.histories(ctx, objective, historyLen)
+	if err != nil {
+		return err
 	}
-	_, err := c.request(TopicHecate, MsgTrainModels, TrainRequest{Histories: histories})
-	return err
+	return c.client.call(TopicHecate, MsgTrainModels, TrainRequest{Histories: histories}, nil)
 }
 
 // Stop shuts the controller down.
-func (c *Controller) Stop() { c.loop.Stop() }
+func (c *Controller) Stop() {
+	c.loop.Stop()
+	c.client.close()
+}
 
 // Tunnels returns the candidate tunnel IDs.
 func (c *Controller) Tunnels() []int {
-	out := make([]int, len(c.tunnelIDs))
-	copy(out, c.tunnelIDs)
+	out := make([]int, len(c.tunnels))
+	for i, t := range c.tunnels {
+		out[i] = t.id
+	}
 	return out
 }
 

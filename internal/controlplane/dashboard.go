@@ -1,7 +1,6 @@
 package controlplane
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/bus"
@@ -10,67 +9,37 @@ import (
 // Dashboard is the user-facing client of the framework: it submits new
 // flows to the Scheduler and reads link-occupation series from the
 // Telemetry Service for "visual feedback through link occupation graphs".
-// It holds no server state — just a bus handle.
+// It holds no server state — just its inbox on the bus.
 type Dashboard struct {
-	b       bus.Bus
-	timeout time.Duration
+	client *client
 }
 
-// NewDashboard creates a dashboard client.
-func NewDashboard(b bus.Bus, timeout time.Duration) *Dashboard {
+// NewDashboard creates a dashboard client. Call Stop when done.
+func NewDashboard(b bus.Bus, timeout time.Duration) (*Dashboard, error) {
 	if timeout <= 0 {
 		timeout = 20 * time.Second
 	}
-	return &Dashboard{b: b, timeout: timeout}
+	c, err := newClient(b, "dashboard", timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &Dashboard{client: c}, nil
 }
 
 // InsertNewFlow submits a flow request and returns the placement decision
 // (the full Fig. 4 round trip).
 func (d *Dashboard) InsertNewFlow(req FlowRequest) (FlowResponse, error) {
-	p, err := bus.EncodePayload(req)
-	if err != nil {
-		return FlowResponse{}, err
-	}
-	reply, err := bus.Request(d.b, bus.Message{Topic: TopicScheduler, Type: MsgInsertNewFlow, Payload: p},
-		ReplyTopic(TopicScheduler), d.timeout)
-	if err != nil {
-		return FlowResponse{}, err
-	}
-	if reply.Type == MsgError {
-		var e ErrorReply
-		if derr := bus.DecodePayload(reply, &e); derr == nil {
-			return FlowResponse{}, fmt.Errorf("controlplane: flow rejected: %s", e.Error)
-		}
-		return FlowResponse{}, fmt.Errorf("controlplane: flow rejected")
-	}
 	var resp FlowResponse
-	if err := bus.DecodePayload(reply, &resp); err != nil {
-		return FlowResponse{}, err
-	}
-	return resp, nil
+	err := d.client.call(TopicScheduler, MsgInsertNewFlow, req, &resp)
+	return resp, err
 }
 
 // Telemetry fetches the last n samples of a series, oldest first.
 func (d *Dashboard) Telemetry(key string, n int) ([]float64, error) {
-	p, err := bus.EncodePayload(TelemetryQuery{Key: key, LastN: n})
-	if err != nil {
-		return nil, err
-	}
-	reply, err := bus.Request(d.b, bus.Message{Topic: TopicTelemetry, Type: MsgGetTelemetry, Payload: p},
-		ReplyTopic(TopicTelemetry), d.timeout)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Type == MsgError {
-		var e ErrorReply
-		if derr := bus.DecodePayload(reply, &e); derr == nil {
-			return nil, fmt.Errorf("controlplane: telemetry query failed: %s", e.Error)
-		}
-		return nil, fmt.Errorf("controlplane: telemetry query failed")
-	}
 	var tr TelemetryReply
-	if err := bus.DecodePayload(reply, &tr); err != nil {
-		return nil, err
-	}
-	return tr.Values, nil
+	err := d.client.call(TopicTelemetry, MsgGetTelemetry, TelemetryQuery{Key: key, LastN: n}, &tr)
+	return tr.Values, err
 }
+
+// Stop releases the dashboard's inbox.
+func (d *Dashboard) Stop() { d.client.close() }

@@ -160,7 +160,10 @@ func NewFramework(cfg FrameworkConfig) (*Framework, error) {
 		f.Stop()
 		return nil, fmt.Errorf("controlplane: starting scheduler: %w", err)
 	}
-	f.Dash = NewDashboard(f.Bus, cfg.RequestTimeout)
+	if f.Dash, err = NewDashboard(f.Bus, cfg.RequestTimeout); err != nil {
+		f.Stop()
+		return nil, fmt.Errorf("controlplane: starting dashboard: %w", err)
+	}
 	f.Telemetry.StartCollection(f.Emu, cfg.TelemetryIntervalSec)
 	return f, nil
 }
@@ -190,6 +193,9 @@ func (f *Framework) Warmup(ctx context.Context, objective string, d float64) err
 // Stop shuts every started service down, then the bus if the framework
 // owns it. Safe to call on a partially constructed framework.
 func (f *Framework) Stop() {
+	if f.Dash != nil {
+		f.Dash.Stop()
+	}
 	if f.Scheduler != nil {
 		f.Scheduler.Stop()
 	}

@@ -13,9 +13,8 @@ import (
 // In the paper's architecture the scheduler is also where admission and
 // timing policy would live; here it validates and forwards.
 type Scheduler struct {
-	loop    *serviceLoop
-	b       bus.Bus
-	timeout time.Duration
+	loop   *serviceLoop
+	client *client
 }
 
 // NewScheduler starts the scheduler on TopicScheduler.
@@ -23,12 +22,15 @@ func NewScheduler(b bus.Bus, timeout time.Duration) (*Scheduler, error) {
 	if timeout <= 0 {
 		timeout = 15 * time.Second
 	}
-	s := &Scheduler{b: b, timeout: timeout}
-	loop, err := startService(b, TopicScheduler, "scheduler", s.handle)
-	if err != nil {
+	s := &Scheduler{}
+	var err error
+	if s.client, err = newClient(b, "scheduler", timeout); err != nil {
 		return nil, err
 	}
-	s.loop = loop
+	if s.loop, err = startService(b, TopicScheduler, "scheduler", s.handle); err != nil {
+		s.client.close()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -47,28 +49,15 @@ func (s *Scheduler) handle(m bus.Message) (interface{}, error) {
 	if req.DemandMbps < 0 {
 		return nil, fmt.Errorf("controlplane: flow %q has negative demand", req.Name)
 	}
-	p, err := bus.EncodePayload(req)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := bus.Request(s.b, bus.Message{Topic: TopicController, Type: MsgNewFlow, Payload: p},
-		ReplyTopic(TopicController), s.timeout)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Type == MsgError {
-		var e ErrorReply
-		if derr := bus.DecodePayload(reply, &e); derr == nil {
-			return nil, fmt.Errorf("controlplane: controller rejected flow %q: %s", req.Name, e.Error)
-		}
-		return nil, fmt.Errorf("controlplane: controller rejected flow %q", req.Name)
-	}
 	var resp FlowResponse
-	if err := bus.DecodePayload(reply, &resp); err != nil {
+	if err := s.client.call(TopicController, MsgNewFlow, req, &resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
 // Stop shuts the scheduler down.
-func (s *Scheduler) Stop() { s.loop.Stop() }
+func (s *Scheduler) Stop() {
+	s.loop.Stop()
+	s.client.close()
+}

@@ -44,19 +44,16 @@ func (e *baggedTrees) predict(X [][]float64) ([]float64, error) {
 	if err := checkPredict(X, e.nFeatures); err != nil {
 		return nil, err
 	}
+	// Row by row, summing the trees in ensemble order: the same additions
+	// as summing whole per-tree prediction vectors, without the vectors.
 	out := make([]float64, len(X))
-	for _, tree := range e.trees {
-		p, err := tree.Predict(X)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range p {
-			out[i] += v
-		}
-	}
 	inv := 1 / float64(len(e.trees))
-	for i := range out {
-		out[i] *= inv
+	for i, row := range X {
+		sum := 0.0
+		for _, tree := range e.trees {
+			sum += tree.predictRow(row)
+		}
+		out[i] = sum * inv
 	}
 	return out, nil
 }

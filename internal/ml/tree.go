@@ -208,17 +208,23 @@ func (r *DecisionTreeRegressor) Predict(X [][]float64) ([]float64, error) {
 	}
 	out := make([]float64, len(X))
 	for i, row := range X {
-		n := r.root
-		for !n.leaf {
-			if row[n.feature] <= n.threshold {
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-		out[i] = n.value
+		out[i] = r.predictRow(row)
 	}
 	return out, nil
+}
+
+// predictRow walks one sample down the fitted tree to its leaf value. The
+// caller has checked that the tree is fitted and the row's width.
+func (r *DecisionTreeRegressor) predictRow(row []float64) float64 {
+	n := r.root
+	for !n.leaf {
+		if row[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.value
 }
 
 // Depth returns the fitted tree's depth (0 for a single leaf).

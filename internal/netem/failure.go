@@ -16,28 +16,26 @@ import (
 // path crosses a down link receive no allocation from the next tick;
 // probes over it report an unreachable RTT.
 func (e *Emulator) FailLink(a, b string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, err := e.topo.Link(a, b); err != nil {
-		return err
-	}
-	if e.downLinks == nil {
-		e.downLinks = make(map[string]bool)
-	}
-	e.downLinks[a+"->"+b] = true
-	e.downLinks[b+"->"+a] = true
-	return nil
+	return e.setLinkDown(a, b, true)
 }
 
 // RestoreLink brings both directions of the a-b link back up.
 func (e *Emulator) RestoreLink(a, b string) error {
+	return e.setLinkDown(a, b, false)
+}
+
+func (e *Emulator) setLinkDown(a, b string, down bool) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, err := e.topo.Link(a, b); err != nil {
+	ab, err := e.hopLocked(a, b)
+	if err != nil {
 		return err
 	}
-	delete(e.downLinks, a+"->"+b)
-	delete(e.downLinks, b+"->"+a)
+	ba, err := e.hopLocked(b, a)
+	if err != nil {
+		return err
+	}
+	e.down[ab], e.down[ba] = down, down
 	return nil
 }
 
@@ -45,34 +43,30 @@ func (e *Emulator) RestoreLink(a, b string) error {
 func (e *Emulator) LinkDown(linkID string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.downLinks[linkID]
+	l, ok := e.linkByIDLocked(linkID)
+	return ok && e.down[l]
 }
 
 // PathUp reports whether every link of the path is currently up.
 func (e *Emulator) PathUp(p topo.Path) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	links, err := e.topo.PathLinks(p)
+	links, err := e.resolveLocked(p)
 	if err != nil {
 		return false, err
 	}
-	for _, l := range links {
-		if e.downLinks[l.ID()] {
-			return false, nil
-		}
-	}
-	return true, nil
+	return !e.anyDownLocked(links), nil
 }
 
 // UnreachableRTTms is the sentinel RTT reported for probes over a failed
 // path (pings time out rather than return).
 const UnreachableRTTms = math.MaxFloat64
 
-// pathDownLocked reports whether any directed link of the resolved link
-// list is failed. Caller holds e.mu.
-func (e *Emulator) pathDownLocked(linkIDs []string) bool {
-	for _, id := range linkIDs {
-		if e.downLinks[id] {
+// anyDownLocked reports whether any of the directed links is failed.
+// Caller holds e.mu.
+func (e *Emulator) anyDownLocked(links []int32) bool {
+	for _, l := range links {
+		if e.down[l] {
 			return true
 		}
 	}

@@ -2,127 +2,135 @@ package netem
 
 import "math"
 
-// allocKey identifies one allocation unit: a flow, or one subpath of a
-// multipath flow.
-type allocKey struct {
-	flow FlowID
-	sub  int
-}
-
-// allocFlow is an allocation unit presented to the max-min fair
-// allocator: a demand cap and the directed links it traverses.
-type allocFlow struct {
-	id     allocKey
+// allocUnit is one allocation unit presented to the max-min fair
+// allocator — a flow, or one subpath of a multipath flow: a demand cap, the
+// directed links it traverses (by topo.Link.Index), and the rate the
+// allocator grants it.
+type allocUnit struct {
+	flow   *flowState
+	sub    int
 	demand float64
-	links  []string
+	links  []int32
+	rate   float64
 }
 
-// maxMinFair computes the max-min fair allocation of the flows over the
-// links by progressive filling: repeatedly find the tightest constraint —
-// either a link whose equal share among its unfrozen flows is smallest, or
-// a flow whose demand is below every link share — freeze the affected
-// flows at that rate, subtract their share from link capacities, and
-// recurse on the rest.
+// filler is the max-min fair allocator with its scratch, all of it sized
+// by the number of links and reused from run to run.
+type filler struct {
+	remaining []float64 // capacity left on each link
+	crossing  []int32   // unfrozen units crossing each link; all 0 between runs
+	share     []float64 // this round's equal share on each link
+	touched   []int32   // the links some unit with positive demand crosses
+	unfrozen  []int32   // indices of the units not yet frozen
+}
+
+func newFiller(links int) filler {
+	return filler{
+		remaining: make([]float64, links),
+		crossing:  make([]int32, links),
+		share:     make([]float64, links),
+	}
+}
+
+// run computes the max-min fair allocation of the units over the links by
+// progressive filling and stores it in their rate fields: repeatedly find
+// the tightest constraint — either a link whose equal share among its
+// unfrozen units is smallest, or a unit whose demand is below every link
+// share — freeze the affected units at that rate, subtract their share
+// from link capacities, and repeat on the rest.
 //
-// The classic water-filling invariant holds on the result: a flow's rate
-// can only be increased by decreasing the rate of a flow with an equal or
+// The classic water-filling invariant holds on the result: a unit's rate
+// can only be increased by decreasing the rate of a unit with an equal or
 // smaller rate. TCP flows sharing a bottleneck converge to (approximately) this
 // allocation, which is why a flow-level emulator built on it reproduces
 // the testbed's iperf measurements.
-func maxMinFair(flows []allocFlow, capacity map[string]float64) map[allocKey]float64 {
-	rates := make(map[allocKey]float64, len(flows))
-	remaining := make(map[string]float64, len(capacity))
-	for k, v := range capacity {
-		remaining[k] = v
-	}
-	active := make([]allocFlow, 0, len(flows))
-	for _, f := range flows {
-		if f.demand <= 0 {
-			rates[f.id] = 0
+//
+// Units freeze, and capacities are charged, in the order of units, so the
+// floating-point result is a function of that order alone.
+func (a *filler) run(units []allocUnit, capacity []float64) {
+	unfrozen, touched := a.unfrozen[:0], a.touched[:0]
+	for i := range units {
+		u := &units[i]
+		u.rate = 0
+		if u.demand <= 0 {
 			continue
 		}
-		active = append(active, f)
+		unfrozen = append(unfrozen, int32(i))
+		for _, l := range u.links {
+			if a.crossing[l] == 0 {
+				touched = append(touched, l)
+				a.remaining[l] = capacity[l]
+			}
+			a.crossing[l]++
+		}
 	}
 
 	const eps = 1e-9
-	for len(active) > 0 {
-		// Count unfrozen flows per link and find the minimum link share.
-		counts := make(map[string]int)
-		for _, f := range active {
-			for _, l := range f.links {
-				counts[l]++
-			}
-		}
-		share := math.Inf(1)
-		for l, n := range counts {
-			if s := remaining[l] / float64(n); s < share {
-				share = s
-			}
-		}
+	for len(unfrozen) > 0 {
 		// The binding constraint is the smaller of the minimum link share
 		// and the minimum unfrozen demand.
-		minDemand := math.Inf(1)
-		for _, f := range active {
-			if f.demand < minDemand {
-				minDemand = f.demand
+		level := math.Inf(1)
+		for _, l := range touched {
+			a.share[l] = math.Inf(1)
+			if n := a.crossing[l]; n > 0 {
+				a.share[l] = a.remaining[l] / float64(n)
+			}
+			if a.share[l] < level {
+				level = a.share[l]
 			}
 		}
-		level := share
-		if minDemand < level {
-			level = minDemand
+		for _, i := range unfrozen {
+			if d := units[i].demand; d < level {
+				level = d
+			}
 		}
 		if level < 0 {
 			level = 0
 		}
 
-		// Decide which flows freeze at this level against a consistent
-		// snapshot: demand-limited flows get their demand; flows crossing
-		// an arg-min (saturating) link get the level. Capacity updates are
-		// applied only after the whole freeze set is known, so flows
-		// examined later in the pass do not see half-updated state.
-		bottleneck := make(map[string]bool)
-		for l, n := range counts {
-			if remaining[l]/float64(n) <= level+eps {
-				bottleneck[l] = true
-			}
-		}
-		next := active[:0]
-		frozeAny := false
-		for _, f := range active {
+		// Decide which units freeze at this level against a consistent
+		// snapshot, the shares computed above: demand-limited units get
+		// their demand; units crossing an arg-min (saturating) link get
+		// the level. Units examined later in the pass do not see the
+		// capacity the earlier ones were charged.
+		next := unfrozen[:0]
+		for _, i := range unfrozen {
+			u := &units[i]
 			frozen := false
-			var rate float64
-			if f.demand <= level+eps {
-				frozen, rate = true, f.demand
+			if u.demand <= level+eps {
+				frozen, u.rate = true, u.demand
 			} else {
-				for _, l := range f.links {
-					if bottleneck[l] {
-						frozen, rate = true, level
+				for _, l := range u.links {
+					if a.share[l] <= level+eps {
+						frozen, u.rate = true, level
 						break
 					}
 				}
 			}
-			if frozen {
-				rates[f.id] = rate
-				for _, l := range f.links {
-					remaining[l] -= rate
-					if remaining[l] < 0 {
-						remaining[l] = 0
-					}
+			if !frozen {
+				next = append(next, i)
+				continue
+			}
+			for _, l := range u.links {
+				a.remaining[l] -= u.rate
+				if a.remaining[l] < 0 {
+					a.remaining[l] = 0
 				}
-				frozeAny = true
-			} else {
-				next = append(next, f)
+				a.crossing[l]--
 			}
 		}
-		if !frozeAny {
+		if len(next) == len(unfrozen) {
 			// Cannot happen: the arg-min link or arg-min demand always
-			// freezes at least one flow. Guard against float pathology.
-			for _, f := range next {
-				rates[f.id] = level
+			// freezes at least one unit. Guard against float pathology.
+			for _, i := range next {
+				units[i].rate = level
 			}
 			break
 		}
-		active = next
+		unfrozen = next
 	}
-	return rates
+	for _, l := range touched {
+		a.crossing[l] = 0
+	}
+	a.unfrozen, a.touched = unfrozen[:0], touched[:0]
 }

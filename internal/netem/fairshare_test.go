@@ -8,6 +8,45 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
+// allocKey and allocFlow describe an allocation problem by link name, the
+// way the cases below are written; maxMinFair numbers the links and runs
+// the emulator's index-based allocator on it.
+type allocKey struct {
+	flow FlowID
+	sub  int
+}
+
+type allocFlow struct {
+	id     allocKey
+	demand float64
+	links  []string
+}
+
+func maxMinFair(flows []allocFlow, capacity map[string]float64) map[allocKey]float64 {
+	index := make(map[string]int32, len(capacity))
+	var caps []float64
+	for name, c := range capacity {
+		index[name] = int32(len(caps))
+		caps = append(caps, c)
+	}
+	units := make([]allocUnit, len(flows))
+	for i, f := range flows {
+		units[i] = allocUnit{demand: f.demand}
+		for _, l := range f.links {
+			units[i].links = append(units[i].links, index[l])
+		}
+	}
+	a := newFiller(len(caps))
+	// Twice, so a run that left scratch dirty would show.
+	a.run(units, caps)
+	a.run(units, caps)
+	rates := make(map[allocKey]float64, len(flows))
+	for i, f := range flows {
+		rates[f.id] = units[i].rate
+	}
+	return rates
+}
+
 func TestMaxMinFairSingleBottleneck(t *testing.T) {
 	// Two greedy flows share one 10 Mbps link: 5 each.
 	flows := []allocFlow{

@@ -16,6 +16,12 @@
 // their paths (progressive filling), applies a ramp so throughput curves
 // resemble TCP instead of jumping instantly, and records per-flow and
 // per-link time series.
+//
+// The tick works on indices, not names: every directed link is addressed
+// by its topo.Link.Index, a flow's subpaths are compiled to index lists
+// when the flow is placed (AddFlow, Reroute), per-link state lives in
+// slices, and only active flows are visited, so a steady tick allocates
+// nothing beyond the growth of the recorded series.
 package netem
 
 import (
@@ -24,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/timeseries"
@@ -59,14 +66,6 @@ type FlowSpec struct {
 	SizeMB float64
 }
 
-// paths returns the flow's subpaths (MultiPaths, or the single Path).
-func (s FlowSpec) paths() []topo.Path {
-	if len(s.MultiPaths) > 0 {
-		return s.MultiPaths
-	}
-	return []topo.Path{s.Path}
-}
-
 // Flow is the live state of an injected flow.
 type Flow struct {
 	ID   FlowID
@@ -84,6 +83,27 @@ type Flow struct {
 	// CompletedAt is the simulation time a finite flow finished
 	// delivering its SizeMB, or -1 while in flight / for unbounded flows.
 	CompletedAt float64
+}
+
+// flowState is the emulator's record of a flow: the public state, the
+// subpaths compiled to link indices, and the throughput samples.
+type flowState struct {
+	Flow
+	// subs[i] lists the directed links of subpath i by topo.Link.Index.
+	subs [][]int32
+	// rates holds one sample per tick from Emulator.ticks[first] on, for
+	// as long as the flow was active; from then on it reads as 0.
+	first int
+	rates []float64
+}
+
+// deactivate releases the flow's bandwidth; its series reads 0 from here.
+func (f *flowState) deactivate() {
+	f.Active = false
+	f.RateMbps = 0
+	for i := range f.SubRates {
+		f.SubRates[i] = 0
+	}
 }
 
 // Config tunes the emulator.
@@ -126,18 +146,32 @@ type Emulator struct {
 	cfg  Config
 	now  float64
 
-	nextID FlowID
-	flows  map[FlowID]*Flow
-	order  []FlowID
+	// flows holds every flow ever added, flows[id-1]; active lists the
+	// ones still running, in creation order (a stopped flow leaves it at
+	// the next tick).
+	flows  []*flowState
+	active []*flowState
+	// ticks is the clock after each tick: the time axis every recorded
+	// series shares.
+	ticks []float64
 
-	flowSeries map[FlowID]*timeseries.Series
-	linkUtil   map[string]*timeseries.Series
-	// lastAlloc is last tick's allocated Mbps per directed link ID.
-	lastAlloc map[string]float64
-	// downLinks marks failed directed links (see failure.go).
-	downLinks map[string]bool
+	// Per-link state, indexed by topo.Link.Index. The emulator serves the
+	// links the topology had when New was called.
+	capacity  []float64
+	delayMs   []float64
+	down      []bool    // failed links (see failure.go)
+	lastAlloc []float64 // Mbps allocated in the last tick
+	// linkUtil, under cfg.RecordLinkSeries, holds len(capacity)
+	// utilizations per tick: link l at tick k is linkUtil[k*len(capacity)+l].
+	linkUtil []float64
+
+	// Scratch reused from tick to tick and from probe to probe.
+	units []allocUnit
+	fill  filler
+	probe []int32
 
 	events    []event
+	dueBuf    []event
 	validator func(topo.Path) error
 }
 
@@ -148,19 +182,19 @@ type event struct {
 
 // New creates an emulator over the given topology.
 func New(t *topo.Topology, cfg Config) *Emulator {
-	cfg = cfg.withDefaults()
+	links := t.Links()
 	e := &Emulator{
-		topo:       t,
-		cfg:        cfg,
-		flows:      make(map[FlowID]*Flow),
-		flowSeries: make(map[FlowID]*timeseries.Series),
-		lastAlloc:  make(map[string]float64),
+		topo:      t,
+		cfg:       cfg.withDefaults(),
+		capacity:  make([]float64, len(links)),
+		delayMs:   make([]float64, len(links)),
+		down:      make([]bool, len(links)),
+		lastAlloc: make([]float64, len(links)),
+		fill:      newFiller(len(links)),
 	}
-	if cfg.RecordLinkSeries {
-		e.linkUtil = make(map[string]*timeseries.Series)
-		for _, l := range t.Links() {
-			e.linkUtil[l.ID()] = &timeseries.Series{}
-		}
+	for _, l := range links {
+		e.capacity[l.Index()] = l.Attrs.CapacityMbps
+		e.delayMs[l.Index()] = l.Attrs.DelayMs
 	}
 	return e
 }
@@ -184,24 +218,67 @@ func (e *Emulator) SetPathValidator(v func(topo.Path) error) {
 	e.validator = v
 }
 
-// checkPath validates a path against the topology, the spec endpoints and
-// the installed validator. Caller holds e.mu.
-func (e *Emulator) checkPath(spec FlowSpec, p topo.Path) error {
+// resolveLocked maps the path onto the indices of its directed links, in
+// order. The result is the emulator's probe scratch: valid until the next
+// call, so a caller that keeps it copies it. Caller holds e.mu.
+func (e *Emulator) resolveLocked(p topo.Path) ([]int32, error) {
 	if len(p.Nodes) < 2 {
-		return fmt.Errorf("netem: path %v too short", p.Nodes)
+		return nil, fmt.Errorf("netem: path %v too short", p.Nodes)
+	}
+	links := e.probe[:0]
+	for i := 0; i+1 < len(p.Nodes); i++ {
+		idx, err := e.hopLocked(p.Nodes[i], p.Nodes[i+1])
+		if err != nil {
+			return nil, err
+		}
+		links = append(links, idx)
+	}
+	e.probe = links
+	return links, nil
+}
+
+// linkByIDLocked returns the index of the directed link named "from->to".
+func (e *Emulator) linkByIDLocked(linkID string) (int32, bool) {
+	from, to, ok := strings.Cut(linkID, "->")
+	if !ok {
+		return 0, false
+	}
+	l, err := e.hopLocked(from, to)
+	return l, err == nil
+}
+
+// hopLocked returns the index of the directed link from→to.
+func (e *Emulator) hopLocked(from, to string) (int32, error) {
+	l, err := e.topo.Link(from, to)
+	if err != nil {
+		return 0, err
+	}
+	if l.Index() >= len(e.capacity) {
+		return 0, fmt.Errorf("netem: link %s was added after the emulator was created", l.ID())
+	}
+	return int32(l.Index()), nil
+}
+
+// compileLocked validates a path against the topology, the spec endpoints
+// and the installed validator, and returns its links. Caller holds e.mu.
+func (e *Emulator) compileLocked(spec FlowSpec, p topo.Path) ([]int32, error) {
+	if len(p.Nodes) < 2 {
+		return nil, fmt.Errorf("netem: path %v too short", p.Nodes)
 	}
 	if p.Nodes[0] != spec.Src || p.Nodes[len(p.Nodes)-1] != spec.Dst {
-		return fmt.Errorf("netem: path %v does not connect %s to %s", p, spec.Src, spec.Dst)
+		return nil, fmt.Errorf("netem: path %v does not connect %s to %s", p, spec.Src, spec.Dst)
 	}
-	if _, err := e.topo.PathLinks(p); err != nil {
-		return err
+	links, err := e.resolveLocked(p)
+	if err != nil {
+		return nil, err
 	}
 	if e.validator != nil {
 		if err := e.validator(p); err != nil {
-			return fmt.Errorf("netem: path rejected by data plane: %w", err)
+			return nil, fmt.Errorf("netem: path rejected by data plane: %w", err)
 		}
 	}
-	return nil
+	// The flow keeps the list; the scratch it was resolved into is reused.
+	return append([]int32(nil), links...), nil
 }
 
 // AddFlow injects a flow and returns its ID. The flow starts at the current
@@ -212,10 +289,17 @@ func (e *Emulator) AddFlow(spec FlowSpec) (FlowID, error) {
 	if len(spec.MultiPaths) > 0 && spec.DemandMbps != 0 {
 		return 0, errors.New("netem: multipath flows must be greedy (DemandMbps = 0)")
 	}
-	for _, p := range spec.paths() {
-		if err := e.checkPath(spec, p); err != nil {
+	paths := spec.MultiPaths
+	if len(paths) == 0 {
+		paths = []topo.Path{spec.Path}
+	}
+	subs := make([][]int32, len(paths))
+	for i, p := range paths {
+		links, err := e.compileLocked(spec, p)
+		if err != nil {
 			return 0, err
 		}
+		subs[i] = links
 	}
 	if spec.DemandMbps < 0 {
 		return 0, errors.New("netem: negative demand")
@@ -223,13 +307,23 @@ func (e *Emulator) AddFlow(spec FlowSpec) (FlowID, error) {
 	if spec.SizeMB < 0 {
 		return 0, errors.New("netem: negative flow size")
 	}
-	e.nextID++
-	id := e.nextID
-	f := &Flow{ID: id, Spec: spec, Active: true, CompletedAt: -1, SubRates: make([]float64, len(spec.paths()))}
-	e.flows[id] = f
-	e.order = append(e.order, id)
-	e.flowSeries[id] = &timeseries.Series{}
-	return id, nil
+	f := &flowState{
+		Flow: Flow{ID: FlowID(len(e.flows) + 1), Spec: spec, Active: true, CompletedAt: -1,
+			SubRates: make([]float64, len(subs))},
+		subs:  subs,
+		first: len(e.ticks),
+	}
+	e.flows = append(e.flows, f)
+	e.active = append(e.active, f)
+	return f.ID, nil
+}
+
+// flowLocked looks a flow up by ID. Caller holds e.mu.
+func (e *Emulator) flowLocked(id FlowID) (*flowState, error) {
+	if id < 1 || int(id) > len(e.flows) {
+		return nil, fmt.Errorf("netem: unknown flow %d", id)
+	}
+	return e.flows[id-1], nil
 }
 
 // Reroute moves a flow onto a new path. This models the single PBR update
@@ -238,17 +332,19 @@ func (e *Emulator) AddFlow(spec FlowSpec) (FlowID, error) {
 func (e *Emulator) Reroute(id FlowID, p topo.Path) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	f, ok := e.flows[id]
-	if !ok {
-		return fmt.Errorf("netem: unknown flow %d", id)
+	f, err := e.flowLocked(id)
+	if err != nil {
+		return err
 	}
 	if len(f.Spec.MultiPaths) > 0 {
 		return fmt.Errorf("netem: flow %d is multipath; reroute by replacing it", id)
 	}
-	if err := e.checkPath(f.Spec, p); err != nil {
+	links, err := e.compileLocked(f.Spec, p)
+	if err != nil {
 		return err
 	}
 	f.Spec.Path = p
+	f.subs[0] = links
 	return nil
 }
 
@@ -256,15 +352,11 @@ func (e *Emulator) Reroute(id FlowID, p topo.Path) error {
 func (e *Emulator) StopFlow(id FlowID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	f, ok := e.flows[id]
-	if !ok {
-		return fmt.Errorf("netem: unknown flow %d", id)
+	f, err := e.flowLocked(id)
+	if err != nil {
+		return err
 	}
-	f.Active = false
-	f.RateMbps = 0
-	for i := range f.SubRates {
-		f.SubRates[i] = 0
-	}
+	f.deactivate()
 	return nil
 }
 
@@ -272,9 +364,9 @@ func (e *Emulator) StopFlow(id FlowID) error {
 func (e *Emulator) Flow(id FlowID) (Flow, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	f, ok := e.flows[id]
-	if !ok {
-		return Flow{}, fmt.Errorf("netem: unknown flow %d", id)
+	f, err := e.flowLocked(id)
+	if err != nil {
+		return Flow{}, err
 	}
 	return f.snapshot(), nil
 }
@@ -291,27 +383,30 @@ func (f *Flow) snapshot() Flow {
 func (e *Emulator) Flows() []Flow {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Flow, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.flows[id].snapshot())
+	out := make([]Flow, 0, len(e.flows))
+	for _, f := range e.flows {
+		out = append(out, f.snapshot())
 	}
 	return out
 }
 
 // Schedule registers fn to run at simulation time at (or at the first tick
 // boundary after it). Events run before the tick's allocation, so a
-// reroute scheduled at t takes effect in the allocation of tick t.
+// reroute scheduled at t takes effect in the allocation of tick t. Events
+// due at the same instant run in the order they were scheduled.
 func (e *Emulator) Schedule(at float64, fn func(*Emulator)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.events = append(e.events, event{at: at, fn: fn})
-	sort.SliceStable(e.events, func(i, j int) bool { return e.events[i].at < e.events[j].at })
+	i := sort.Search(len(e.events), func(i int) bool { return e.events[i].at > at })
+	e.events = append(e.events, event{})
+	copy(e.events[i+1:], e.events[i:])
+	e.events[i] = event{at: at, fn: fn}
 }
 
 // Step advances the simulation by one tick.
 func (e *Emulator) Step() {
 	e.mu.Lock()
-	due := e.dueEventsLocked()
+	due := e.takeDueLocked()
 	e.mu.Unlock()
 	// Events run without the lock so they may call emulator methods.
 	for _, ev := range due {
@@ -319,16 +414,29 @@ func (e *Emulator) Step() {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if due != nil {
+		clear(due)
+		e.dueBuf = due[:0]
+	}
 	e.stepLocked()
 }
 
-// dueEventsLocked pops events scheduled at or before the current time.
-func (e *Emulator) dueEventsLocked() []event {
-	var due []event
-	for len(e.events) > 0 && e.events[0].at <= e.now+1e-9 {
-		due = append(due, e.events[0])
-		e.events = e.events[1:]
+// takeDueLocked removes and returns the events scheduled at or before the
+// current time. The result is the emulator's due buffer, taken out of the
+// emulator while the events run unlocked; Step hands it back.
+func (e *Emulator) takeDueLocked() []event {
+	n := 0
+	for n < len(e.events) && e.events[n].at <= e.now+1e-9 {
+		n++
 	}
+	if n == 0 {
+		return nil
+	}
+	due := append(e.dueBuf[:0], e.events[:n]...)
+	e.dueBuf = nil
+	rest := copy(e.events, e.events[n:])
+	clear(e.events[rest:])
+	e.events = e.events[:rest]
 	return due
 }
 
@@ -371,97 +479,101 @@ func (e *Emulator) stepLocked() {
 	tick := e.cfg.TickSeconds
 	// Effective demand this tick: TCP-like additive ramp toward the cap,
 	// per subpath (each subpath of a multipath flow ramps independently,
-	// like one subflow of an MPTCP connection).
-	var specs []allocFlow
-	for _, id := range e.order {
-		f := e.flows[id]
+	// like one subflow of an MPTCP connection). Flows stopped since the
+	// last tick leave the active list here.
+	units := e.units[:0]
+	live := e.active[:0]
+	for _, f := range e.active {
 		if !f.Active {
 			continue
 		}
-		for sub, p := range f.Spec.paths() {
+		live = append(live, f)
+		for sub, links := range f.subs {
 			demand := f.SubRates[sub] + e.cfg.RampMbpsPerSec*tick
 			if f.Spec.DemandMbps > 0 && demand > f.Spec.DemandMbps {
 				demand = f.Spec.DemandMbps
 			}
-			links, err := e.topo.PathLinks(p)
-			if err != nil {
-				// Paths are validated on entry; a failure here means the
-				// topology changed under us, which we treat as a dead path.
-				demand = 0
-			}
-			ids := make([]string, len(links))
-			for i, l := range links {
-				ids[i] = l.ID()
-			}
-			if e.pathDownLocked(ids) {
+			if e.anyDownLocked(links) {
 				// A failed link blackholes the subpath until rerouted.
 				demand = 0
 			}
-			specs = append(specs, allocFlow{id: allocKey{flow: id, sub: sub}, demand: demand, links: ids})
+			units = append(units, allocUnit{flow: f, sub: sub, demand: demand, links: links})
 		}
 	}
-	capacities := make(map[string]float64)
-	for _, l := range e.topo.Links() {
-		capacities[l.ID()] = l.Attrs.CapacityMbps
-	}
-	rates := maxMinFair(specs, capacities)
+	e.setActiveLocked(live)
+	e.fill.run(units, e.capacity)
 
-	// Apply rates, advance counters, record series.
+	// Apply rates and advance counters.
 	e.now += tick
-	alloc := make(map[string]float64)
-	for _, id := range e.order {
-		if f := e.flows[id]; f.Active {
-			f.RateMbps = 0
+	clear(e.lastAlloc)
+	for _, f := range e.active {
+		f.RateMbps = 0
+	}
+	for i := range units {
+		u := &units[i]
+		f := u.flow
+		f.SubRates[u.sub] = u.rate
+		f.RateMbps += u.rate
+		f.Bytes += u.rate * 1e6 / 8 * tick
+		for _, l := range u.links {
+			e.lastAlloc[l] += u.rate
 		}
 	}
-	for _, s := range specs {
-		f := e.flows[s.id.flow]
-		rate := rates[s.id]
-		f.SubRates[s.id.sub] = rate
-		f.RateMbps += rate
-		f.Bytes += rate * 1e6 / 8 * tick
-		for _, l := range s.links {
-			alloc[l] += rate
-		}
-	}
-	// Finite flows complete once their volume is delivered.
-	for _, id := range e.order {
-		f := e.flows[id]
-		if f.Active && f.Spec.SizeMB > 0 && f.Bytes >= f.Spec.SizeMB*1e6 {
-			f.Active = false
-			f.RateMbps = 0
-			for i := range f.SubRates {
-				f.SubRates[i] = 0
-			}
+	clear(units) // drop the flow pointers
+	e.units = units[:0]
+
+	// Finite flows complete once their volume is delivered; the others
+	// record the tick's rate.
+	live = e.active[:0]
+	for _, f := range e.active {
+		if f.Spec.SizeMB > 0 && f.Bytes >= f.Spec.SizeMB*1e6 {
+			f.deactivate()
 			f.CompletedAt = e.now
+			continue
+		}
+		f.rates = append(f.rates, f.RateMbps)
+		live = append(live, f)
+	}
+	e.setActiveLocked(live)
+	e.ticks = append(e.ticks, e.now)
+	if e.cfg.RecordLinkSeries {
+		for l, c := range e.capacity {
+			e.linkUtil = append(e.linkUtil, e.lastAlloc[l]/c)
 		}
 	}
-	e.lastAlloc = alloc
-	for _, id := range e.order {
-		f := e.flows[id]
-		rate := 0.0
-		if f.Active {
-			rate = f.RateMbps
-		}
-		e.flowSeries[id].MustAppend(e.now, rate)
+}
+
+// setActiveLocked installs live, a filtered prefix of e.active built in
+// place, as the active list.
+func (e *Emulator) setActiveLocked(live []*flowState) {
+	clear(e.active[len(live):])
+	e.active = live
+}
+
+// seriesLocked renders samples taken on the tick axis from ticks[first]
+// on as a series; ticks past the end of values read as 0.
+func (e *Emulator) seriesLocked(first int, value func(k int) float64) *timeseries.Series {
+	s := &timeseries.Series{}
+	for k, t := range e.ticks[first:] {
+		s.MustAppend(t, value(k))
 	}
-	if e.linkUtil != nil {
-		for _, l := range e.topo.Links() {
-			util := alloc[l.ID()] / l.Attrs.CapacityMbps
-			e.linkUtil[l.ID()].MustAppend(e.now, util)
-		}
-	}
+	return s
 }
 
 // FlowSeries returns the flow's throughput series (Mbps per tick).
 func (e *Emulator) FlowSeries(id FlowID) (*timeseries.Series, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, ok := e.flowSeries[id]
-	if !ok {
-		return nil, fmt.Errorf("netem: unknown flow %d", id)
+	f, err := e.flowLocked(id)
+	if err != nil {
+		return nil, err
 	}
-	return s.Clone(), nil
+	return e.seriesLocked(f.first, func(k int) float64 {
+		if k < len(f.rates) {
+			return f.rates[k]
+		}
+		return 0 // stopped or completed
+	}), nil
 }
 
 // LinkUtilSeries returns a link's utilization series (0..1 per tick);
@@ -469,14 +581,16 @@ func (e *Emulator) FlowSeries(id FlowID) (*timeseries.Series, error) {
 func (e *Emulator) LinkUtilSeries(linkID string) (*timeseries.Series, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.linkUtil == nil {
+	if !e.cfg.RecordLinkSeries {
 		return nil, errors.New("netem: link series recording disabled")
 	}
-	s, ok := e.linkUtil[linkID]
+	l, ok := e.linkByIDLocked(linkID)
 	if !ok {
 		return nil, fmt.Errorf("netem: unknown link %q", linkID)
 	}
-	return s.Clone(), nil
+	return e.seriesLocked(0, func(k int) float64 {
+		return e.linkUtil[k*len(e.capacity)+int(l)]
+	}), nil
 }
 
 // LinkAllocatedMbps returns the Mbps allocated on a directed link in the
@@ -484,7 +598,10 @@ func (e *Emulator) LinkUtilSeries(linkID string) (*timeseries.Series, error) {
 func (e *Emulator) LinkAllocatedMbps(linkID string) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lastAlloc[linkID]
+	if l, ok := e.linkByIDLocked(linkID); ok {
+		return e.lastAlloc[l]
+	}
+	return 0
 }
 
 // PathAvailableMbps estimates the residual capacity of a path: the minimum
@@ -493,16 +610,16 @@ func (e *Emulator) LinkAllocatedMbps(linkID string) float64 {
 func (e *Emulator) PathAvailableMbps(p topo.Path) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	links, err := e.topo.PathLinks(p)
+	links, err := e.resolveLocked(p)
 	if err != nil {
 		return 0, err
 	}
 	avail := math.Inf(1)
 	for _, l := range links {
-		if e.downLinks[l.ID()] {
+		if e.down[l] {
 			return 0, nil
 		}
-		r := l.Attrs.CapacityMbps - e.lastAlloc[l.ID()]
+		r := e.capacity[l] - e.lastAlloc[l]
 		if r < 0 {
 			r = 0
 		}
@@ -519,16 +636,16 @@ func (e *Emulator) PathAvailableMbps(p topo.Path) (float64, error) {
 func (e *Emulator) PathMaxUtilization(p topo.Path) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	links, err := e.topo.PathLinks(p)
+	links, err := e.resolveLocked(p)
 	if err != nil {
 		return 0, err
 	}
 	maxU := 0.0
 	for _, l := range links {
-		if e.downLinks[l.ID()] {
+		if e.down[l] {
 			return 1, nil
 		}
-		u := e.lastAlloc[l.ID()] / l.Attrs.CapacityMbps
+		u := e.lastAlloc[l] / e.capacity[l]
 		if u > maxU {
 			maxU = u
 		}
@@ -543,19 +660,19 @@ func (e *Emulator) PathMaxUtilization(p topo.Path) (float64, error) {
 func (e *Emulator) ProbeRTTms(p topo.Path) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fwd, err := e.topo.PathLinks(p)
+	fwd, err := e.resolveLocked(p)
 	if err != nil {
 		return 0, err
 	}
 	rtt := 0.0
 	down := false
-	add := func(l *topo.Link) {
-		if e.downLinks[l.ID()] {
+	add := func(l int32) {
+		if e.down[l] {
 			down = true
 			return
 		}
-		rtt += l.Attrs.DelayMs
-		u := e.lastAlloc[l.ID()] / l.Attrs.CapacityMbps
+		rtt += e.delayMs[l]
+		u := e.lastAlloc[l] / e.capacity[l]
 		if u > 0.999 {
 			u = 0.999
 		}
@@ -570,7 +687,7 @@ func (e *Emulator) ProbeRTTms(p topo.Path) (float64, error) {
 	}
 	// Reverse direction.
 	for i := len(p.Nodes) - 1; i > 0; i-- {
-		l, err := e.topo.Link(p.Nodes[i], p.Nodes[i-1])
+		l, err := e.hopLocked(p.Nodes[i], p.Nodes[i-1])
 		if err != nil {
 			return 0, err
 		}
@@ -590,10 +707,15 @@ func (e *Emulator) TotalActiveMbps(ids ...FlowID) float64 {
 	defer e.mu.Unlock()
 	total := 0.0
 	if len(ids) == 0 {
-		ids = e.order
+		for _, f := range e.active {
+			if f.Active {
+				total += f.RateMbps
+			}
+		}
+		return total
 	}
 	for _, id := range ids {
-		if f, ok := e.flows[id]; ok && f.Active {
+		if f, err := e.flowLocked(id); err == nil && f.Active {
 			total += f.RateMbps
 		}
 	}

@@ -317,3 +317,117 @@ func TestFlowsSnapshotOrder(t *testing.T) {
 		t.Errorf("Flows names = %s, %s", fl[0].Spec.Name, fl[1].Spec.Name)
 	}
 }
+
+// TestScheduleSameInstantKeepsRegistrationOrder pins the order of events
+// due at one instant: the order they were scheduled in, wherever the
+// instant falls among the other events, and an event scheduled for "now"
+// from inside an event runs at the next tick, after the ones already due.
+func TestScheduleSameInstantKeepsRegistrationOrder(t *testing.T) {
+	e := labEmulator(t, Config{TickSeconds: 0.5})
+	var log []string
+	note := func(s string) func(*Emulator) {
+		return func(*Emulator) { log = append(log, s) }
+	}
+	e.Schedule(1.0, note("b1"))
+	e.Schedule(2.0, note("c1"))
+	e.Schedule(1.0, note("b2"))
+	e.Schedule(0.0, note("a1"))
+	e.Schedule(1.0, func(em *Emulator) {
+		log = append(log, "b3")
+		em.Schedule(em.Now(), note("b5"))
+	})
+	e.Schedule(2.0, note("c2"))
+	e.Schedule(0.0, note("a2"))
+	e.Schedule(1.0, note("b4"))
+	e.RunUntil(3)
+	if got, want := strings.Join(log, " "), "a1 a2 b1 b2 b3 b4 b5 c1 c2"; got != want {
+		t.Errorf("event order = %q, want %q", got, want)
+	}
+}
+
+// TestRecurringEventSurvivesTheDueBuffer is the telemetry collector's
+// shape: one event that reschedules itself every second. The due buffer
+// is reused from tick to tick, so a stale or clobbered entry would show as
+// a missed or repeated firing.
+func TestRecurringEventSurvivesTheDueBuffer(t *testing.T) {
+	e := labEmulator(t, Config{})
+	var fired []float64
+	var tick func(*Emulator)
+	tick = func(em *Emulator) {
+		fired = append(fired, em.Now())
+		em.Schedule(em.Now()+1, tick)
+	}
+	e.Schedule(0, tick)
+	e.RunUntil(10)
+	if len(fired) != 10 {
+		t.Fatalf("fired %d times in 10 s: %v", len(fired), fired)
+	}
+	for i, at := range fired {
+		if math.Abs(at-float64(i)) > 1e-6 {
+			t.Errorf("firing %d at t=%v", i, at)
+		}
+	}
+}
+
+// TestSteadyTickAllocatesNothing: with the flows placed, a tick's only
+// allocations are the recorded series growing, which amortises to less
+// than one allocation per tick — link series, a rescheduling event and the
+// telemetry probes included.
+func TestSteadyTickAllocatesNothing(t *testing.T) {
+	e := labEmulator(t, Config{RecordLinkSeries: true})
+	tunnels := []topo.Path{topo.TunnelPath1(), topo.TunnelPath2(), topo.TunnelPath3()}
+	for i := 0; i < 14; i++ {
+		spec := greedySpec("f", uint8(i), tunnels[i%3])
+		spec.DemandMbps = float64(1 + i%7)
+		if _, err := e.AddFlow(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tick func(*Emulator)
+	tick = func(em *Emulator) {
+		for _, p := range tunnels {
+			if _, err := em.PathAvailableMbps(p); err != nil {
+				t.Error(err)
+			}
+			if _, err := em.ProbeRTTms(p); err != nil {
+				t.Error(err)
+			}
+			if _, err := em.PathMaxUtilization(p); err != nil {
+				t.Error(err)
+			}
+		}
+		em.Schedule(em.Now()+1, tick)
+	}
+	e.Schedule(0, tick)
+	e.RunUntil(100)
+	if allocs := testing.AllocsPerRun(200, e.Step); allocs != 0 {
+		t.Errorf("a steady tick allocates %v times", allocs)
+	}
+}
+
+// TestLinkAddedAfterNewIsRefused: the emulator's per-link state is sized
+// when it is created; a path over a link the topology grew later must be
+// turned away, not indexed out of range.
+func TestLinkAddedAfterNewIsRefused(t *testing.T) {
+	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(lab, Config{})
+	if err := lab.AddNode("late", topo.Host); err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.AddLink("late", topo.MIA, topo.LinkAttrs{CapacityMbps: 10}); err != nil {
+		t.Fatal(err)
+	}
+	p := topo.Path{Nodes: []string{"late", topo.MIA}}
+	if _, err := e.AddFlow(FlowSpec{Name: "f", Src: "late", Dst: topo.MIA, Path: p}); err == nil {
+		t.Error("AddFlow accepted a link the emulator has no state for")
+	}
+	if _, err := e.ProbeRTTms(p); err == nil {
+		t.Error("ProbeRTTms accepted a link the emulator has no state for")
+	}
+	if err := e.FailLink("late", topo.MIA); err == nil {
+		t.Error("FailLink accepted a link the emulator has no state for")
+	}
+}

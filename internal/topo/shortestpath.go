@@ -78,11 +78,11 @@ func (t *Topology) shortestPathFiltered(src, dst string, w Weight, banned map[st
 			break
 		}
 		n := t.nodes[it.node]
-		for _, nb := range n.portOrder {
+		for port, nb := range n.portOrder {
 			if banned[nb] || done[nb] {
 				continue
 			}
-			l := t.links[it.node+"->"+nb]
+			l := n.out[port]
 			if bannedLinks[l.ID()] {
 				continue
 			}

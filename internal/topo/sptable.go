@@ -59,11 +59,11 @@ func (st *SPTable) tree(src string) (*spTree, error) {
 		}
 		done[it.node] = true
 		n := st.t.nodes[it.node]
-		for _, nb := range n.portOrder {
+		for port, nb := range n.portOrder {
 			if done[nb] {
 				continue
 			}
-			l := st.t.links[it.node+"->"+nb]
+			l := n.out[port]
 			nd := it.dist + st.w.cost(l)
 			if cur, seen := tr.dist[nb]; !seen || nd < cur {
 				tr.dist[nb] = nd

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeKind classifies a node's role in the testbed.
@@ -51,6 +52,8 @@ type Node struct {
 	ports map[string]uint64
 	// portOrder lists neighbours in attachment order.
 	portOrder []string
+	// out holds the egress link of every port, aligned with portOrder.
+	out []*Link
 }
 
 // Port returns the local port number facing the given neighbour, or an
@@ -87,25 +90,41 @@ type Link struct {
 	From, To string
 	// Attrs are the TE attributes (per direction).
 	Attrs LinkAttrs
+
+	// id and index are set when the link joins a topology.
+	id    string
+	index int
 }
 
 // ID returns the canonical directed-link identifier "from->to".
-func (l Link) ID() string { return l.From + "->" + l.To }
+func (l Link) ID() string {
+	if l.id != "" {
+		return l.id
+	}
+	return l.From + "->" + l.To
+}
+
+// Index returns the link's dense index within its topology: directed links
+// are numbered 0, 1, … in the order they were added, so per-link state can
+// live in slices instead of ID-keyed maps.
+func (l Link) Index() int { return l.index }
 
 // Topology is a directed multigraph-free network graph. It is built once
 // and then treated as immutable by the routing and emulation layers.
 type Topology struct {
 	nodes map[string]*Node
 	order []string
-	links map[string]*Link // keyed by directed ID
+	// links holds every directed link at its Index.
+	links []*Link
+	// sorted caches the ID-sorted view Links hands out; AddAsymLink drops
+	// it. An atomic pointer, so concurrent readers of a finished topology
+	// may fill it without a lock (they compute the same slice).
+	sorted atomic.Pointer[[]*Link]
 }
 
 // New creates an empty topology.
 func New() *Topology {
-	return &Topology{
-		nodes: make(map[string]*Node),
-		links: make(map[string]*Link),
-	}
+	return &Topology{nodes: make(map[string]*Node)}
 }
 
 // AddNode adds a node. It fails on duplicate names.
@@ -154,10 +173,12 @@ func (t *Topology) AddAsymLink(a, b string, ab, ba LinkAttrs) error {
 	na.portOrder = append(na.portOrder, b)
 	nb.ports[a] = uint64(len(nb.portOrder) + 1)
 	nb.portOrder = append(nb.portOrder, a)
-	lab := &Link{From: a, To: b, Attrs: ab}
-	lba := &Link{From: b, To: a, Attrs: ba}
-	t.links[lab.ID()] = lab
-	t.links[lba.ID()] = lba
+	lab := &Link{From: a, To: b, Attrs: ab, id: a + "->" + b, index: len(t.links)}
+	lba := &Link{From: b, To: a, Attrs: ba, id: b + "->" + a, index: len(t.links) + 1}
+	na.out = append(na.out, lab)
+	nb.out = append(nb.out, lba)
+	t.links = append(t.links, lab, lba)
+	t.sorted.Store(nil)
 	return nil
 }
 
@@ -197,21 +218,27 @@ func (t *Topology) NodesOfKind(kind NodeKind) []string {
 
 // Link returns the directed link from one node to an adjacent one.
 func (t *Topology) Link(from, to string) (*Link, error) {
-	l, ok := t.links[from+"->"+to]
-	if !ok {
-		return nil, fmt.Errorf("topo: no link %s->%s", from, to)
+	if n, ok := t.nodes[from]; ok {
+		if port, ok := n.ports[to]; ok {
+			return n.out[port-1], nil
+		}
 	}
-	return l, nil
+	return nil, fmt.Errorf("topo: no link %s->%s", from, to)
 }
 
 // Links returns all directed links sorted by ID (deterministic order for
-// telemetry and tests).
+// telemetry and tests). The slice is the caller's own.
 func (t *Topology) Links() []*Link {
-	out := make([]*Link, 0, len(t.links))
-	for _, l := range t.links {
-		out = append(out, l)
+	sorted := t.sorted.Load()
+	if sorted == nil {
+		s := make([]*Link, len(t.links))
+		copy(s, t.links)
+		sort.Slice(s, func(i, j int) bool { return s[i].id < s[j].id })
+		sorted = &s
+		t.sorted.Store(sorted)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	out := make([]*Link, len(*sorted))
+	copy(out, *sorted)
 	return out
 }
 

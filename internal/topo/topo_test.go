@@ -314,3 +314,56 @@ func TestLinksDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkIndexAndCachedLinks: directed links are numbered densely in the
+// order they were added, Link resolves both directions to the link with
+// that number, and the sorted view Links caches is dropped when the
+// topology grows and cannot be corrupted through a returned slice.
+func TestLinkIndexAndCachedLinks(t *testing.T) {
+	lab := buildLab(t)
+	links := lab.Links()
+	seen := make([]bool, len(links))
+	for _, l := range links {
+		if l.Index() < 0 || l.Index() >= len(links) || seen[l.Index()] {
+			t.Fatalf("link %s has index %d among %d links", l.ID(), l.Index(), len(links))
+		}
+		seen[l.Index()] = true
+		if l.ID() != l.From+"->"+l.To {
+			t.Errorf("stored ID %q for %s->%s", l.ID(), l.From, l.To)
+		}
+		got, err := lab.Link(l.From, l.To)
+		if err != nil || got != l {
+			t.Errorf("Link(%s, %s) = %v, %v; want the link Links lists", l.From, l.To, got, err)
+		}
+	}
+	if _, err := lab.Link(HostMIA, HostAMS); err == nil {
+		t.Error("Link found a link between non-adjacent nodes")
+	}
+	if _, err := lab.Link("nowhere", MIA); err == nil {
+		t.Error("Link found a link from an unknown node")
+	}
+	if (Link{From: "a", To: "b"}).ID() != "a->b" {
+		t.Error("a link outside any topology lost its ID")
+	}
+
+	links[0], links[1] = links[1], links[0] // the caller's copy
+	if err := lab.AddNode("late", Host); err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.AddLink("late", MIA, LinkAttrs{CapacityMbps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	grown := lab.Links()
+	if len(grown) != len(links)+2 {
+		t.Fatalf("Links() lists %d links after adding one, was %d", len(grown), len(links))
+	}
+	for i := 1; i < len(grown); i++ {
+		if grown[i-1].ID() >= grown[i].ID() {
+			t.Fatalf("Links() not sorted after growth: %s before %s", grown[i-1].ID(), grown[i].ID())
+		}
+	}
+	late, err := lab.Link("late", MIA)
+	if err != nil || late.Index() != len(links) {
+		t.Errorf("new link indexed %v (%v), want %d", late, err, len(links))
+	}
+}
