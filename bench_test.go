@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
@@ -90,7 +89,7 @@ func BenchmarkFig6RegressorSweep(b *testing.B) {
 	cfg := experiments.DefaultMLConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMLComparison(cfg)
+		res, err := experiments.RunMLComparisonContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +105,7 @@ func BenchmarkFig7RandomForestPredict(b *testing.B) {
 	cfg := experiments.DefaultMLConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunObservedVsPredicted("RFR", cfg); err != nil {
+		if _, err := experiments.RunObservedVsPredictedContext(context.Background(), "RFR", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +117,7 @@ func BenchmarkFig8GaussianProcessPredict(b *testing.B) {
 	cfg := experiments.DefaultMLConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunObservedVsPredicted("GPR", cfg); err != nil {
+		if _, err := experiments.RunObservedVsPredictedContext(context.Background(), "GPR", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +130,7 @@ func BenchmarkFig11LatencyMigration(b *testing.B) {
 	cfg := benchTestbedConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunLatencyMigration(cfg)
+		res, err := experiments.RunLatencyMigrationContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +145,7 @@ func BenchmarkFig12FlowAggregation(b *testing.B) {
 	cfg := benchTestbedConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFlowAggregation(cfg)
+		res, err := experiments.RunFlowAggregationContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -482,7 +481,7 @@ func BenchmarkAblationAllocators(b *testing.B) {
 			b.ReportAllocs()
 			var total float64
 			for i := 0; i < b.N; i++ {
-				t, _, err := env.Evaluate(c.choose)
+				t, _, err := env.Evaluate(context.Background(), c.choose)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -508,7 +507,7 @@ func BenchmarkAblationWorkloadPolicies(b *testing.B) {
 			b.ReportAllocs()
 			var mean float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunWorkload(cfg)
+				res, err := experiments.RunWorkloadContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -523,7 +522,7 @@ func BenchmarkAblationWorkloadPolicies(b *testing.B) {
 
 // newLabPacketEngine builds a packet engine over the Global P4 Lab with the
 // three tunnel routes encoded, for the throughput benchmarks.
-func newLabPacketEngine(b *testing.B, workers int) (*dataplane.Engine, []*dataplane.Route) {
+func newLabPacketEngine(b *testing.B) (*dataplane.Engine, []*dataplane.Route) {
 	b.Helper()
 	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
 	if err != nil {
@@ -534,7 +533,7 @@ func newLabPacketEngine(b *testing.B, workers int) (*dataplane.Engine, []*datapl
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := dataplane.New(lab, dataplane.Config{Domain: domain, Workers: workers})
+	engine, err := dataplane.New(lab, dataplane.Config{Domain: domain})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -551,59 +550,51 @@ func newLabPacketEngine(b *testing.B, workers int) (*dataplane.Engine, []*datapl
 
 // BenchmarkDataplaneForwarding measures end-to-end packet forwarding
 // throughput on the lab topology: each iteration injects a batch across the
-// three tunnels and drains the engine, serially and sharded over the
-// available cores. The pkts/s metric counts delivered packets; hops/s
-// counts forwarding decisions. One untimed warm-up iteration grows the
-// engine's pooled round state, so the timed loop measures the steady
-// state — which must stay at zero allocations per op (the gobench CI gate
-// pins allocs_per_op with zero tolerance).
+// three tunnels and drains the engine. The pkts/s metric counts delivered
+// packets; hops/s counts forwarding decisions. One untimed warm-up
+// iteration grows the engine's pooled round state, so the timed loop
+// measures the steady state — which must stay at zero allocations per op
+// (the gobench CI gate pins allocs_per_op of the "serial" sub-benchmark
+// with zero tolerance, so the name stays).
 func BenchmarkDataplaneForwarding(b *testing.B) {
 	const batch = 1024
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{fmt.Sprintf("parallel-%d", runtime.NumCPU()), runtime.NumCPU()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			engine, routes := newLabPacketEngine(b, mode.workers)
-			bufs := make([][]dataplane.Packet, len(routes))
-			iter := func() (dataplane.Stats, error) {
-				for ri, r := range routes {
-					bufs[ri] = r.AppendPackets(bufs[ri][:0], batch/len(routes), 1500)
-					if err := engine.InjectBatch(r.Inject, bufs[ri]); err != nil {
-						return dataplane.Stats{}, err
-					}
+	b.Run("serial", func(b *testing.B) {
+		engine, routes := newLabPacketEngine(b)
+		bufs := make([][]dataplane.Packet, len(routes))
+		iter := func() (dataplane.Stats, error) {
+			for ri, r := range routes {
+				bufs[ri] = r.AppendPackets(bufs[ri][:0], batch/len(routes), 1500)
+				if err := engine.InjectBatch(r.Inject, bufs[ri]); err != nil {
+					return dataplane.Stats{}, err
 				}
-				stats, err := engine.Run(context.Background())
-				engine.Reset()
-				return stats, err
 			}
-			if _, err := iter(); err != nil {
+			stats, err := engine.Run(context.Background())
+			engine.Reset()
+			return stats, err
+		}
+		if _, err := iter(); err != nil {
+			b.Fatal(err)
+		}
+		var delivered, hops uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stats, err := iter()
+			if err != nil {
 				b.Fatal(err)
 			}
-			var delivered, hops uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := iter()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Dropped() != 0 {
-					b.Fatalf("dropped %d packets", stats.Dropped())
-				}
-				delivered += stats.Delivered
-				hops += stats.Hops
+			if stats.Dropped() != 0 {
+				b.Fatalf("dropped %d packets", stats.Dropped())
 			}
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(delivered)/s, "pkts/s")
-				b.ReportMetric(float64(hops)/s, "hops/s")
-			}
-		})
-	}
+			delivered += stats.Delivered
+			hops += stats.Hops
+		}
+		b.StopTimer()
+		if s := b.Elapsed().Seconds(); s > 0 {
+			b.ReportMetric(float64(delivered)/s, "pkts/s")
+			b.ReportMetric(float64(hops)/s, "hops/s")
+		}
+	})
 }
 
 // BenchmarkDataplaneTableVsNaive compares the two forwarding

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,13 +25,13 @@ func main() {
 	broker := flag.Bool("broker", false, "run the services over a TCP message broker instead of in-process")
 	flows := flag.Int("flows", 4, "number of flows to admit")
 	flag.Parse()
-	if err := run(*model, *broker, *flows); err != nil {
+	if err := run(context.Background(), *model, *broker, *flows); err != nil {
 		fmt.Fprintln(os.Stderr, "frameworkd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(model string, useBroker bool, nFlows int) error {
+func run(ctx context.Context, model string, useBroker bool, nFlows int) error {
 	cfg := controlplane.FrameworkConfig{
 		Netem:          netem.Config{TickSeconds: 0.1, RampMbpsPerSec: 40},
 		Hecate:         hecate.Config{Lag: 10, Horizon: 10, Model: model},
@@ -61,8 +62,7 @@ func run(model string, useBroker bool, nFlows int) error {
 
 	fmt.Printf("framework up: model=%s tunnels=1..3 (Global P4 Lab subset)\n", model)
 	fmt.Println("warming telemetry up (30 s emulated) and training Hecate ...")
-	f.Emu.RunFor(30)
-	if err := f.Control.TrainHecate("max-bandwidth", 30); err != nil {
+	if err := f.Warmup(ctx, "max-bandwidth", 30); err != nil {
 		return err
 	}
 
@@ -78,8 +78,10 @@ func run(model string, useBroker bool, nFlows int) error {
 			name, resp.TunnelID, resp.Path, resp.Score)
 		// Let the new flow ramp and the telemetry catch up, then retrain
 		// so the next decision sees the new load.
-		f.Emu.RunFor(20)
-		if err := f.Control.TrainHecate("max-bandwidth", int(f.Emu.Now())); err != nil {
+		if err := f.RunFor(ctx, 20); err != nil {
+			return err
+		}
+		if err := f.Control.TrainHecateContext(ctx, "max-bandwidth", int(f.Emu.Now())); err != nil {
 			return err
 		}
 	}

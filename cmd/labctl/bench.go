@@ -88,15 +88,8 @@ func benchCmd(ctx context.Context, stdout, errOut io.Writer, args []string) erro
 			return fmt.Errorf("bench -gobench-only requires -o: go-bench results are not suite trajectory points")
 		}
 		snap = benchstore.New(*label)
-	case rf.dispatchMode():
-		// Fleet mode: each backend contributed one shard; the shard
-		// snapshots union through benchstore.Merge, the same guarded path
-		// `bench -merge` uses (overlaps and quick/full mixes refuse).
-		if snap, err = dispatchBench(ctx, names, rf, *label, errOut); err != nil {
-			return err
-		}
 	default:
-		res, err := runSuite(ctx, names, rf, errOut)
+		res, _, err := runSuite(ctx, names, rf, errOut)
 		if err != nil {
 			return err
 		}

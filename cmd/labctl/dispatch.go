@@ -2,25 +2,25 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/benchstore"
 	"repro/internal/dispatch"
+	"repro/internal/scenario"
 )
 
-// Dispatch mode: with -addrs a,b,c (or -addrs-file), run/suite/bench fan
-// out across a fleet of labd daemons instead of submitting to a single
-// one — the dispatcher (internal/dispatch) probes /v1/healthz, queues
-// the suite as scenario-granular work units that per-backend pullers
-// drain (fast backends take more; a dying or busy backend spills back
-// only its in-flight unit), and merges the per-unit results back into
-// the exact artifact a single run would have written. -steal=false
-// restores the fixed one-shard-per-backend plan. Flags, artifacts, and
-// exit codes match -addr mode; -shard is rejected because the fleet
-// itself is the shard matrix.
+// Dispatch mode: with -addrs a,b,c (or -addrs-file), runSuite fans the
+// request out across a fleet of labd daemons instead of submitting to a
+// single one — the dispatcher (internal/dispatch) probes /v1/healthz,
+// queues the suite as scenario-granular work units that per-backend
+// pullers drain (fast backends take more; a dying or busy backend spills
+// back only its in-flight unit), and merges the per-unit results back
+// into the exact artifact a single run would have written. Flags,
+// artifacts, and exit codes match -addr mode; -shard is rejected because
+// the fleet divides the suite itself.
 
 // dispatchMode reports whether a backend fleet was given.
 func (rf runFlags) dispatchMode() bool { return rf.addrs != "" || rf.addrsFile != "" }
@@ -71,21 +71,21 @@ func orFlag(rf runFlags) string {
 
 // dispatchSuite runs one suite-shaped request across the fleet — the
 // dispatch counterpart of remoteSuite.
-func dispatchSuite(ctx context.Context, names []string, rf runFlags, errOut io.Writer) (*dispatch.Result, error) {
+func dispatchSuite(ctx context.Context, names []string, rf runFlags, errOut io.Writer) (*scenario.SuiteResult, json.RawMessage, error) {
 	addrs, err := backendList(rf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if rf.shard != "" {
-		return nil, fmt.Errorf("-shard cannot combine with -addrs: the dispatcher owns the shard slice (one per healthy backend)")
+		return nil, nil, fmt.Errorf("-shard cannot combine with -addrs: the dispatcher owns the shard slice (one scenario per work unit)")
 	}
 	// The same flag-to-spec wiring -addr mode uses; rf.shard is empty
 	// here, so the spec's shard fields stay zero for the dispatcher.
 	spec, err := remoteJobSpec(names, rf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	opts := dispatch.Options{Spec: spec, FixedShards: !rf.steal}
+	opts := dispatch.Options{Spec: spec}
 	if rf.verbose {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(errOut, format+"\n", args...)
@@ -95,54 +95,9 @@ func dispatchSuite(ctx context.Context, names []string, rf runFlags, errOut io.W
 			renderProgress(errOut, ev.Event.Scenario, ev.Event.Phase, ev.Event.Message)
 		}
 	}
-	return dispatch.Run(ctx, addrs, opts)
-}
-
-// dispatchBench runs the suite across the fleet and unions the
-// per-shard report sets into one snapshot through benchstore.Merge —
-// the same refusal-guarded path `bench -merge` takes for on-disk
-// shards, so overlapping shards and quick/full mixes cannot poison the
-// trajectory here either.
-func dispatchBench(ctx context.Context, names []string, rf runFlags, label string, errOut io.Writer) (*benchstore.Snapshot, error) {
-	dres, err := dispatchSuite(ctx, names, rf, errOut)
+	dres, err := dispatch.Run(ctx, addrs, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// A partial run is not a trajectory point: refuse to record it.
-	if err := dres.Suite.Err(); err != nil {
-		return nil, fmt.Errorf("suite failed, no snapshot written: %w", err)
-	}
-	var snaps []*benchstore.Snapshot
-	for _, u := range dres.Units {
-		s := benchstore.FromReports("", u.Result.Reports()...)
-		// Each unit's configuration class comes from its own result, so
-		// Merge's quick/full-mix refusal actually guards the fleet's
-		// results against each other rather than restating one flag n
-		// times.
-		s.Quick = u.Result.Quick
-		snaps = append(snaps, s)
-	}
-	for _, sh := range dres.Shards { // -steal=false
-		s := benchstore.FromReports("", sh.Result.Reports()...)
-		s.Quick = sh.Result.Quick
-		snaps = append(snaps, s)
-	}
-	snap, err := benchstore.Merge(snaps...)
-	if err != nil {
-		return nil, err
-	}
-	snap.Label = label
-	return snap, nil
-}
-
-// dispatchRun is `labctl run` across the fleet: each shard runs its
-// slice serially and fail-fast, and the merged outcomes render exactly
-// like a single run's.
-func dispatchRun(ctx context.Context, stdout, errOut io.Writer, names []string, rf runFlags) error {
-	rf.parallel, rf.failFast = 1, true
-	dres, err := dispatchSuite(ctx, names, rf, errOut)
-	if err != nil {
-		return err
-	}
-	return finishRun(stdout, dres.Suite, dres.Raw, rf.outPath)
+	return dres.Suite, dres.Raw, nil
 }

@@ -97,30 +97,6 @@ func TestDispatchSuiteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDispatchSuiteFixedShardsMatchesLocal: the `-steal=false` escape
-// hatch (fixed per-backend shard plan, PR 5 behavior) still produces a
-// byte-identical artifact.
-func TestDispatchSuiteFixedShardsMatchesLocal(t *testing.T) {
-	cluster := startCluster(t, 3)
-	dir := t.TempDir()
-	localPath := filepath.Join(dir, "local.json")
-	fleetPath := filepath.Join(dir, "fleet.json")
-
-	var out bytes.Buffer
-	if err := run(append([]string{"suite", "-quick", "-o", localPath}, fleetNames...), &out, &out); err != nil {
-		t.Fatal(err)
-	}
-	addrs := strings.Join(cluster.Addrs(), ",")
-	if err := run(append([]string{"suite", "-quick", "-steal=false", "-addrs", addrs, "-o", fleetPath}, fleetNames...), &out, &out); err != nil {
-		t.Fatal(err)
-	}
-	local, _ := os.ReadFile(localPath)
-	fleet, _ := os.ReadFile(fleetPath)
-	if normalizeWall(local) != normalizeWall(fleet) {
-		t.Errorf("fixed-shard artifact differs:\n--- local\n%s\n--- fleet\n%s", local, fleet)
-	}
-}
-
 // TestDispatchSuiteSurvivesDeadBackend: one dead backend in the -addrs
 // list must not change the artifact or the exit code — the fleet plans
 // around it.

@@ -42,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dispatch"
 	_ "repro/internal/experiments" // registers every lab scenario and family
 	"repro/internal/scenario"
 	"repro/internal/scengen"
@@ -70,7 +69,6 @@ type runFlags struct {
 	addr       string
 	addrs      string
 	addrsFile  string
-	steal      bool
 }
 
 // newFlagSet returns a continue-on-error flag set writing to errOut.
@@ -92,7 +90,6 @@ func registerRunFlags(fs *flag.FlagSet, rf *runFlags, suiteMode bool) {
 	fs.StringVar(&rf.addr, "addr", "", "submit to the labd daemon at this address instead of running in-process")
 	fs.StringVar(&rf.addrs, "addrs", "", "comma-separated labd backends: dispatch the suite across every healthy backend and merge the results")
 	fs.StringVar(&rf.addrsFile, "addrs-file", "", "file listing labd backends (whitespace separated, # comments), same as -addrs")
-	fs.BoolVar(&rf.steal, "steal", true, "with -addrs: pull scenario-granular work units per backend; -steal=false restores fixed per-backend shards")
 	fs.StringVar(&rf.family, "family", "", "also select every scenario of this generated family (see labctl list)")
 	if suiteMode {
 		fs.IntVar(&rf.parallel, "parallel", 1, "scenarios run concurrently")
@@ -209,8 +206,7 @@ remote mode:     -addr host:port submits run/suite/bench to a labd daemon
 fleet mode:      -addrs a,b,c (or -addrs-file F) dispatches run/suite/bench
                  across several labd daemons: backends pull scenario-granular
                  work units, so fast machines take more and a straggler never
-                 gates the suite; -steal=false restores fixed per-backend
-                 shards (same artifacts/exit codes either way)
+                 gates the suite (same artifacts and exit codes)
 `)
 }
 
@@ -363,81 +359,75 @@ func renderProgress(w io.Writer, scenarioName, phase, message string) {
 	}
 }
 
-// runScenarios executes the named scenarios serially and fail-fast — the
-// interactive workflow. With one scenario and -o, the output file is the
-// bare Report (the machine-readable contract of `labctl run X -o out`).
+// runScenarios is `labctl run`: the named scenarios as one serial
+// fail-fast suite — the interactive workflow. Reports render in order and
+// the first failure is the command's error. With one scenario and -o, the
+// output file is the bare Report (the machine-readable contract of
+// `labctl run X -o out`).
 func runScenarios(ctx context.Context, stdout, errOut io.Writer, names []string, rf runFlags) error {
-	if rf.dispatchMode() {
-		return dispatchRun(ctx, stdout, errOut, names, rf)
-	}
-	if rf.addr != "" {
-		return remoteRun(ctx, stdout, errOut, names, rf)
-	}
-	configs, err := loadConfigs(rf.configPath)
+	rf.parallel, rf.failFast = 1, true
+	res, raw, err := runSuite(ctx, names, rf, errOut)
 	if err != nil {
 		return err
 	}
 	var reports []*scenario.Report
-	for _, name := range names {
-		s, err := scenario.Lookup(name)
-		if err != nil {
-			return err
+	for _, o := range res.Outcomes {
+		if o.Error != "" || o.Skipped {
+			break
 		}
-		cfg, err := scenario.DecodeConfig(scenario.BaseConfig(s, rf.quick), configs[name])
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", name, err)
-		}
-		// One function per scenario so the timeout context is released as
-		// soon as its scenario finishes, not at command exit.
-		rep, err := func() (*scenario.Report, error) {
-			sctx := ctx
-			if rf.timeout > 0 {
-				var stop context.CancelFunc
-				sctx, stop = context.WithTimeout(ctx, rf.timeout)
-				defer stop()
-			}
-			return scenario.Execute(sctx, env(errOut, rf), s, cfg)
-		}()
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", name, err)
-		}
+		reports = append(reports, o.Report)
+	}
+	for _, rep := range reports {
 		renderReport(stdout, rep)
-		reports = append(reports, rep)
+	}
+	if len(reports) < len(res.Outcomes) {
+		o := res.Outcomes[len(reports)]
+		if o.Skipped {
+			return fmt.Errorf("scenario %s skipped before running", o.Scenario)
+		}
+		return fmt.Errorf("scenario %s: %s", o.Scenario, o.Error)
 	}
 	if rf.outPath == "" {
 		return nil
 	}
-	if len(reports) == 1 {
-		return writeOut(rf.outPath, reports[0], reports)
+	raws, err := rawReports(raw)
+	if err != nil {
+		return err
 	}
-	return writeOut(rf.outPath, reports, reports)
+	if len(raws) == 1 {
+		return writeOut(rf.outPath, raws[0], reports)
+	}
+	return writeOut(rf.outPath, joinRawArray(raws), reports)
 }
 
-// runSuite resolves the shared flags into SuiteOptions and executes the
-// suite — the single flag-to-option wiring the suite and bench
-// subcommands both go through. With -addr the suite runs as a job on the
-// labd daemon instead; results and exit behavior are identical.
-func runSuite(ctx context.Context, names []string, rf runFlags, errOut io.Writer) (*scenario.SuiteResult, error) {
-	if rf.dispatchMode() {
-		dres, err := dispatchSuite(ctx, names, rf, errOut)
-		if err != nil {
-			return nil, err
-		}
-		return dres.Suite, nil
-	}
-	if rf.addr != "" {
-		res, _, err := remoteSuite(ctx, names, rf, errOut)
-		return res, err
+// runSuite executes one suite-shaped request where the flags say — in
+// this process, as a job on the labd daemon at -addr, or dispatched
+// across the -addrs fleet — and is the only place labctl chooses between
+// the three, so run, suite and bench share flags, artifacts, exit codes
+// and Ctrl-C handling. It hands back the typed result (for rendering and
+// exit codes) and the result's JSON bytes (for -o): the daemon's own
+// bytes in the remote modes, never decoded and re-encoded, and the
+// same encoding of the typed result in-process, so an artifact is
+// byte-identical whichever way it ran, modulo measured wall time. The
+// error is non-nil only when no result exists (pre-flight
+// problems, an unreachable fleet, a cancellation before any work);
+// per-scenario failures live in the result.
+func runSuite(ctx context.Context, names []string, rf runFlags, errOut io.Writer) (*scenario.SuiteResult, json.RawMessage, error) {
+	switch {
+	case rf.dispatchMode():
+		return dispatchSuite(ctx, names, rf, errOut)
+	case rf.addr != "":
+		return remoteSuite(ctx, names, rf, errOut)
 	}
 	configs, err := loadConfigs(rf.configPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	shard, err := parseShard(rf.shard)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return scenario.RunSuite(ctx, names, scenario.SuiteOptions{
+	res, err := scenario.RunSuite(ctx, names, scenario.SuiteOptions{
 		Parallel: rf.parallel,
 		Timeout:  rf.timeout,
 		FailFast: rf.failFast,
@@ -446,27 +436,20 @@ func runSuite(ctx context.Context, names []string, rf runFlags, errOut io.Writer
 		Shard:    shard,
 		Env:      env(errOut, rf),
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return nil, nil, fmt.Errorf("encoding the suite result: %w", err)
+	}
+	return res, raw, nil
 }
 
 // runSuiteCmd executes the suite (all scenarios when names is empty) and
-// always reports every outcome. In remote mode the -o artifact is
-// spliced from the daemon's exact result bytes so it matches a local
-// run's byte for byte.
+// always reports every outcome.
 func runSuiteCmd(ctx context.Context, stdout, errOut io.Writer, names []string, rf runFlags) error {
-	var res *scenario.SuiteResult
-	var raw json.RawMessage
-	var err error
-	switch {
-	case rf.dispatchMode():
-		var dres *dispatch.Result
-		if dres, err = dispatchSuite(ctx, names, rf, errOut); err == nil {
-			res, raw = dres.Suite, dres.Raw
-		}
-	case rf.addr != "":
-		res, raw, err = remoteSuite(ctx, names, rf, errOut)
-	default:
-		res, err = runSuite(ctx, names, rf, errOut)
-	}
+	res, raw, err := runSuite(ctx, names, rf, errOut)
 	if err != nil {
 		return err
 	}
@@ -483,11 +466,7 @@ func runSuiteCmd(ctx context.Context, stdout, errOut io.Writer, names []string, 
 	fmt.Fprintf(stdout, "suite: %d scenarios, %d failed, %d skipped\n",
 		len(res.Outcomes), res.Failed, res.Skipped)
 	if rf.outPath != "" {
-		var jsonVal any = res
-		if raw != nil {
-			jsonVal = raw // daemon's exact bytes, re-indented, never decoded
-		}
-		if err := writeOut(rf.outPath, jsonVal, res.Reports()); err != nil {
+		if err := writeOut(rf.outPath, raw, res.Reports()); err != nil {
 			return err
 		}
 	}
@@ -495,7 +474,8 @@ func runSuiteCmd(ctx context.Context, stdout, errOut io.Writer, names []string, 
 }
 
 // writeOut persists results: jsonValue for JSON output, the report list
-// for CSV.
+// for CSV. The encoder re-indents raw JSON at the token level, key order
+// preserved, so raw result bytes reach the file undecoded.
 func writeOut(path string, jsonValue any, reports []*scenario.Report) error {
 	f, err := os.Create(path)
 	if err != nil {

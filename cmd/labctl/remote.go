@@ -13,12 +13,12 @@ import (
 	"repro/internal/scenario"
 )
 
-// Remote mode: with -addr, run/suite/bench submit their work to a labd
-// daemon as a job over the /v1 API instead of executing in-process —
-// same flags, same artifacts, same exit codes. Result artifacts are
-// written by splicing the daemon's exact result bytes (never a decode/
-// re-encode round trip), so `labctl run X -o out.json` produces
-// byte-identical documents either way, modulo measured wall time.
+// Remote mode: with -addr, runSuite submits the work to a labd daemon
+// as a job over the /v1 API instead of executing in-process — same
+// flags, same artifacts, same exit codes. Result artifacts are written by
+// splicing the daemon's exact result bytes (never a decode/re-encode
+// round trip), so `labctl run X -o out.json` produces byte-identical
+// documents either way, modulo measured wall time.
 
 // remoteJobSpec resolves the shared flags into a job submission — the
 // remote counterpart of the SuiteOptions wiring in runSuite.
@@ -99,55 +99,6 @@ func remoteSuite(ctx context.Context, names []string, rf runFlags, errOut io.Wri
 		return nil, nil, fmt.Errorf("job %s %s with no result attached", st.ID, st.State)
 	}
 	return st.Result, st.RawResult, nil
-}
-
-// remoteRun is `labctl run` against a daemon: one serial fail-fast job,
-// reports rendered in order, the first failure reported like a local
-// run. -o splices the daemon's report bytes.
-func remoteRun(ctx context.Context, stdout, errOut io.Writer, names []string, rf runFlags) error {
-	rf.parallel, rf.failFast = 1, true
-	res, raw, err := remoteSuite(ctx, names, rf, errOut)
-	if err != nil {
-		return err
-	}
-	return finishRun(stdout, res, raw, rf.outPath)
-}
-
-// finishRun renders a run-shaped suite result and writes the -o
-// artifact from the daemon's raw bytes — the tail remote and dispatch
-// runs share: reports in order, the first failure reported like a local
-// run.
-func finishRun(stdout io.Writer, res *scenario.SuiteResult, raw json.RawMessage, outPath string) error {
-	var reports []*scenario.Report
-	for _, o := range res.Outcomes {
-		if o.Error != "" {
-			for _, rep := range reports {
-				renderReport(stdout, rep)
-			}
-			return fmt.Errorf("scenario %s: %s", o.Scenario, o.Error)
-		}
-		if o.Skipped {
-			return fmt.Errorf("scenario %s skipped by the daemon", o.Scenario)
-		}
-		reports = append(reports, o.Report)
-	}
-	for _, rep := range reports {
-		renderReport(stdout, rep)
-	}
-	if outPath == "" {
-		return nil
-	}
-	raws, err := rawReports(raw)
-	if err != nil {
-		return err
-	}
-	// writeOut's encoder re-indents raw JSON at the token level —
-	// key order is preserved, so the artifact matches a local run's
-	// byte for byte.
-	if len(raws) == 1 {
-		return writeOut(outPath, raws[0], reports)
-	}
-	return writeOut(outPath, joinRawArray(raws), reports)
 }
 
 // rawReports extracts each outcome's exact report bytes from a raw

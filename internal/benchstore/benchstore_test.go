@@ -149,7 +149,7 @@ func TestScanAppendDirNumbering(t *testing.T) {
 	}
 }
 
-func TestMergeShards(t *testing.T) {
+func TestMergeShardSnapshots(t *testing.T) {
 	a := New("shard0")
 	a.Add("x", "m", 1)
 	b := New("shard1")

@@ -188,17 +188,12 @@ func (c *Controller) tunnelIDFromName(name string) (int, error) {
 	return 0, fmt.Errorf("controlplane: %q is not a candidate tunnel", name)
 }
 
-// TrainHecate pushes full per-tunnel telemetry histories to the Hecate
-// service for model fitting. It is called once the telemetry store has
-// accumulated enough history (the paper trains offline on the UQ trace).
-func (c *Controller) TrainHecate(objective string, historyLen int) error {
-	return c.TrainHecateContext(context.Background(), objective, historyLen)
-}
-
-// TrainHecateContext is TrainHecate under a context: training is a fan of
-// bus round trips (one telemetry fetch per tunnel, one fit request), and
-// the context is consulted before each so cancellation cuts the fan
-// short.
+// TrainHecateContext pushes full per-tunnel telemetry histories to the
+// Hecate service for model fitting. It is called once the telemetry store
+// has accumulated enough history (the paper trains offline on the UQ
+// trace). Training is a fan of bus round trips (one telemetry fetch per
+// tunnel, one fit request), and the context is consulted before each so
+// cancellation cuts the fan short.
 func (c *Controller) TrainHecateContext(ctx context.Context, objective string, historyLen int) error {
 	histories, err := c.histories(ctx, objective, historyLen)
 	if err != nil {

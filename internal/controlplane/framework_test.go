@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -31,12 +32,19 @@ func newLabFramework(t *testing.T) *Framework {
 	return f
 }
 
+// runFor advances the framework's emulated clock by d seconds.
+func runFor(t *testing.T, f *Framework, d float64) {
+	t.Helper()
+	if err := f.RunFor(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // warmup runs the emulator long enough to accumulate telemetry history
 // and trains the Hecate models on it.
 func warmup(t *testing.T, f *Framework, objective string, seconds float64) {
 	t.Helper()
-	f.Emu.RunFor(seconds)
-	if err := f.Control.TrainHecate(objective, int(seconds)); err != nil {
+	if err := f.Warmup(context.Background(), objective, seconds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,7 +73,7 @@ func TestFig4SequenceEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("flow not registered with the PolKA service")
 	}
-	f.Emu.RunFor(10)
+	runFor(t, f, 10)
 	fl, err := f.Emu.Flow(id)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +129,7 @@ func TestPinnedPlacementAndMigration(t *testing.T) {
 	if _, err := f.Dash.InsertNewFlow(FlowRequest{Name: "m", ToS: 4, PinTunnel: 1}); err != nil {
 		t.Fatal(err)
 	}
-	f.Emu.RunFor(5)
+	runFor(t, f, 5)
 	resp, err := f.Dash.InsertNewFlow(FlowRequest{Name: "m", ToS: 4, PinTunnel: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +144,7 @@ func TestPinnedPlacementAndMigration(t *testing.T) {
 	if got := len(f.Emu.Flows()); got != 1 {
 		t.Errorf("flow count = %d, want 1", got)
 	}
-	f.Emu.RunFor(10)
+	runFor(t, f, 10)
 	id, _ := f.Polka.FlowID("m")
 	fl, _ := f.Emu.Flow(id)
 	if math.Abs(fl.RateMbps-10) > 0.5 {
@@ -179,7 +187,7 @@ func TestErrorPropagation(t *testing.T) {
 
 func TestDashboardTelemetryFeed(t *testing.T) {
 	f := newLabFramework(t)
-	f.Emu.RunFor(30)
+	runFor(t, f, 30)
 	vals, err := f.Dash.Telemetry(telemetry.PathBandwidthKey("tunnel1"), 10)
 	if err != nil {
 		t.Fatal(err)

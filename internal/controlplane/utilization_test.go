@@ -14,7 +14,7 @@ func TestPathMaxUtilizationTelemetry(t *testing.T) {
 	if _, err := f.Dash.InsertNewFlow(FlowRequest{Name: "load", ToS: 4, PinTunnel: 2}); err != nil {
 		t.Fatal(err)
 	}
-	f.Emu.RunFor(20)
+	runFor(t, f, 20)
 	vals, err := f.Dash.Telemetry(telemetry.PathUtilKey("tunnel2"), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestMinMaxUtilizationObjectiveEndToEnd(t *testing.T) {
 
 func TestTelemetryCSVExport(t *testing.T) {
 	f := newLabFramework(t)
-	f.Emu.RunFor(5)
+	runFor(t, f, 5)
 	var sb strings.Builder
 	store := f.Telemetry.Store()
 	if err := store.WriteCSV(&sb, telemetry.PathBandwidthKey("tunnel1")); err != nil {

@@ -6,9 +6,8 @@
 //
 // The engine instantiates one polka.Switch per forwarding node (each with
 // its pre-built gf2.Reducer), keeps a per-switch ingress queue, and
-// processes packets in hop-synchronous rounds — serially, or sharded over a
-// worker pool where each worker owns a disjoint subset of switches. Three
-// forwarding modes cover the paper's scenario families:
+// processes packets in hop-synchronous rounds on the calling goroutine.
+// Three forwarding modes cover the paper's scenario families:
 //
 //   - Unicast: the residue at each node is the single output port.
 //   - Multicast: the residue is an M-PolKA one-hot port set; the packet is
@@ -66,13 +65,12 @@ const (
 	// LinkFast is the default tier: a packet emitted toward a neighbor is
 	// handed to that switch's queue directly. No serialization, queueing,
 	// delay or loss — maximum forwarding throughput, hop-synchronous
-	// rounds, parallelizable over workers.
+	// rounds.
 	LinkFast LinkMode = iota
 	// LinkFull routes every inter-switch handoff through a link.FullPath:
 	// frames serialize at the link's capacity, wait in a bounded tail-drop
 	// egress queue, cross a propagation delay, and may be lost or
-	// reordered. Execution becomes an event-driven loop in virtual time
-	// and is serial (Workers must be ≤ 1).
+	// reordered. Execution becomes an event-driven loop in virtual time.
 	LinkFull
 )
 
@@ -211,10 +209,11 @@ type Config struct {
 	// their identifiers. When nil, a domain over the topology's Core nodes
 	// is built with NewDomain(cores, topo.MaxPort()).
 	Domain *polka.Domain
-	// Workers sets the execution mode: ≤ 1 runs forwarding rounds on the
-	// calling goroutine; > 1 shards the switches over that many workers,
-	// each owning a disjoint subset of nodes (so per-node state needs no
-	// locking).
+	// Workers selects nothing: the engine is serial in both link modes and
+	// New rejects Workers > 1. The field stays declared only because
+	// benchmark/dataplane.go assigns it 1 and benchmark/ is frozen for
+	// every PR but a [benchmark] one; the next [benchmark] PR drops that
+	// assignment and this field together.
 	Workers int
 	// DefaultTTL replaces a non-positive packet TTL at injection
 	// (default 64).
@@ -230,8 +229,7 @@ type Config struct {
 	// leave off for throughput runs.
 	RecordPaths bool
 	// LinkMode selects the link tier: LinkFast (default, direct handoff)
-	// or LinkFull (per-link state machines in virtual time). LinkFull
-	// requires Workers ≤ 1.
+	// or LinkFull (per-link state machines in virtual time).
 	LinkMode LinkMode
 	// Link is the full-tier link template applied to every directed link.
 	// Its RateMbps and DelayMs fields act as overrides: > 0 fixes the
@@ -245,9 +243,8 @@ type Config struct {
 	// link gets a private rand stream split from it, so equal seeds (and
 	// equal inject schedules) reproduce runs exactly. LinkFull only.
 	Seed int64
-	// Trace, when non-nil, receives every forwarding outcome. With
-	// Workers > 1 it is called concurrently and must be safe for
-	// concurrent use.
+	// Trace, when non-nil, receives every forwarding outcome, on the
+	// goroutine that called Run.
 	Trace func(TraceEvent)
 }
 

@@ -3,8 +3,6 @@ package dataplane
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/polka"
@@ -274,107 +272,6 @@ func TestRouteValidation(t *testing.T) {
 	}
 }
 
-func TestSerialParallelParity(t *testing.T) {
-	run := func(workers int) (Stats, []uint64) {
-		e := labEngine(t, Config{Workers: workers})
-		tunnels := []topo.Path{topo.TunnelPath1(), topo.TunnelPath2(), topo.TunnelPath3()}
-		for _, tun := range tunnels {
-			r, err := e.UnicastRoute(tun)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.InjectBatch(r.Inject, r.NewPackets(50, 1000)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stats, err := e.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]uint64, 0, stats.Delivered)
-		for _, pkt := range e.Delivered() {
-			ids = append(ids, pkt.ID)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return stats, ids
-	}
-	serialStats, serialIDs := run(1)
-	parallelStats, parallelIDs := run(4)
-	if serialStats != parallelStats {
-		t.Fatalf("stats diverge:\nserial   %+v\nparallel %+v", serialStats, parallelStats)
-	}
-	if len(serialIDs) != len(parallelIDs) {
-		t.Fatalf("delivered counts diverge: %d vs %d", len(serialIDs), len(parallelIDs))
-	}
-	for i := range serialIDs {
-		if serialIDs[i] != parallelIDs[i] {
-			t.Fatalf("delivered IDs diverge at %d: %d vs %d", i, serialIDs[i], parallelIDs[i])
-		}
-	}
-}
-
-func TestParallelTraceAndMixedModes(t *testing.T) {
-	// A parallel run mixing all three modes with a concurrent trace hook;
-	// go test -race makes this a data-race canary for the worker sharding.
-	var events atomic.Uint64
-	e := labEngine(t, Config{Workers: 4, Trace: func(TraceEvent) { events.Add(1) }})
-	lab := e.Topology()
-	uni, err := e.UnicastRoute(topo.TunnelPath1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pot, err := e.PoTRoute(topo.TunnelPath2(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := func(node, toward string) uint {
-		n, _ := lab.Node(node)
-		p, err := n.Port(toward)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return uint(p)
-	}
-	mustSet := func(ports ...uint) uint64 {
-		m, err := polka.PortSet(ports...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	mc, err := e.MulticastRoute(topo.MIA, map[string]uint64{
-		topo.MIA: mustSet(port(topo.MIA, topo.SAO), port(topo.MIA, topo.CHI)),
-		topo.SAO: mustSet(port(topo.SAO, topo.AMS)),
-		topo.CHI: mustSet(port(topo.CHI, topo.AMS)),
-		topo.AMS: mustSet(port(topo.AMS, topo.HostAMS)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*Route{uni, pot, mc} {
-		if err := e.InjectBatch(r.Inject, r.NewPackets(40, 500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(40 + 40 + 80) // unicast + pot + two multicast copies each
-	if stats.Delivered != want {
-		t.Fatalf("delivered %d, want %d", stats.Delivered, want)
-	}
-	if stats.PoTVerified != 40 {
-		t.Fatalf("potVerified %d, want 40", stats.PoTVerified)
-	}
-	// One trace event per emitted copy: unicast/PoT hops emit one each,
-	// multicast hops one per replica. 40 unicast·3 + 40 pot·3 + 40
-	// multicast·(2 at MIA + 1 at SAO + 1 at CHI + 2 at AMS).
-	if want := uint64(40*3 + 40*3 + 40*6); events.Load() != want {
-		t.Fatalf("trace events %d, want %d", events.Load(), want)
-	}
-}
-
 func TestRunContextCancellation(t *testing.T) {
 	e := labEngine(t, Config{})
 	r, err := e.UnicastRoute(topo.TunnelPath1())
@@ -409,7 +306,7 @@ func TestRandomTopologyPathsVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(tp, Config{Workers: 2, RecordPaths: true})
+		e, err := New(tp, Config{RecordPaths: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/polka"
 	"repro/internal/topo"
@@ -17,8 +16,8 @@ const noLink int32 = -2
 // sending there delivers the packet.
 const egressLink int32 = -1
 
-// nodeState is the engine's per-switch state. During a forwarding round a
-// node is owned by exactly one worker, so none of it is locked.
+// nodeState is the engine's per-switch state. The engine runs on the
+// calling goroutine, so none of it is locked.
 type nodeState struct {
 	name string
 	sw   *polka.Switch
@@ -33,7 +32,7 @@ type nodeState struct {
 
 // Engine is the packet-level forwarding engine. The external API (Inject,
 // Run, Delivered, ...) is meant to be driven from one goroutine: configure,
-// inject, run, inspect. Run itself fans work out over Config.Workers.
+// inject, run, inspect. Run does all its work on that goroutine.
 type Engine struct {
 	topo    *topo.Topology
 	domain  *polka.Domain
@@ -44,57 +43,14 @@ type Engine struct {
 	pending int
 	stats   Stats
 	deliv   []Packet
-	full    *fullState  // nil unless Config.LinkMode == LinkFull
-	sched   *schedState // pooled round machinery
-}
-
-// schedState is the engine's pooled round machinery: the static
-// node→worker block partition, recycled queue backing arrays, and one
-// round buffer per worker. Everything here is reused round over round and
-// run over run, so steady-state forwarding allocates nothing.
-type schedState struct {
-	workers int     // effective worker count (clamped to the node count)
-	bounds  []int   // worker w owns nodes[bounds[w]:bounds[w+1]]
-	owner   []int32 // node index → owning worker
+	full    *fullState // nil unless Config.LinkMode == LinkFull
 	// batches recycles round input arrays: each round a node's queue is
 	// swapped against its consumed batch from the previous round, so
 	// queue growth amortizes to zero instead of re-appending from nil.
 	batches [][]Packet
-	bufs    []*roundBuf
-	merged  []int // per-worker merge counts of the current round
-}
-
-// newSchedState partitions n nodes into contiguous worker blocks. Block
-// (not strided) ownership is what makes parallel merge order reproduce
-// the serial order exactly: concatenating per-owner buckets in worker
-// order visits source nodes 0..n-1 in sequence.
-func newSchedState(n, workers int) *schedState {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	s := &schedState{
-		workers: workers,
-		bounds:  make([]int, workers+1),
-		owner:   make([]int32, n),
-		batches: make([][]Packet, n),
-		bufs:    make([]*roundBuf, workers),
-		merged:  make([]int, workers),
-	}
-	for w := 0; w <= workers; w++ {
-		s.bounds[w] = w * n / workers
-	}
-	for w := 0; w < workers; w++ {
-		for i := s.bounds[w]; i < s.bounds[w+1]; i++ {
-			s.owner[i] = int32(w)
-		}
-	}
-	for w := range s.bufs {
-		s.bufs[w] = &roundBuf{out: make([][]outPkt, workers)}
-	}
-	return s
+	// buf is the round buffer, truncated and reused round over round and
+	// run over run, so steady-state forwarding allocates nothing.
+	buf roundBuf
 }
 
 // New builds an engine over the topology. Every node of the domain (the
@@ -102,6 +58,9 @@ func newSchedState(n, workers int) *schedState {
 // topology; those nodes become the forwarding plane, and every other node
 // is a delivery endpoint.
 func New(t *topo.Topology, cfg Config) (*Engine, error) {
+	if cfg.Workers > 1 {
+		return nil, fmt.Errorf("dataplane: the engine is serial; Workers must be ≤ 1, got %d", cfg.Workers)
+	}
 	if cfg.DefaultTTL <= 0 {
 		cfg.DefaultTTL = 64
 	}
@@ -158,16 +117,13 @@ func New(t *topo.Topology, cfg Config) (*Engine, error) {
 		ns.stats.Egress = make([]uint64, deg+1)
 	}
 	if cfg.LinkMode == LinkFull {
-		if cfg.Workers > 1 {
-			return nil, fmt.Errorf("dataplane: LinkFull is event-driven and serial; Workers must be ≤ 1, got %d", cfg.Workers)
-		}
 		fs, err := newFullState(e)
 		if err != nil {
 			return nil, err
 		}
 		e.full = fs
 	}
-	e.sched = newSchedState(len(e.nodes), cfg.Workers)
+	e.batches = make([][]Packet, len(e.nodes))
 	return e, nil
 }
 
@@ -270,7 +226,6 @@ func (e *Engine) Run(ctx context.Context) (Stats, error) {
 	if e.full != nil {
 		return e.runFull(ctx)
 	}
-	s := e.sched
 	for e.pending > 0 {
 		select {
 		case <-ctx.Done():
@@ -278,15 +233,9 @@ func (e *Engine) Run(ctx context.Context) (Stats, error) {
 		default:
 		}
 		e.stats.Rounds++
-		if s.workers > 1 {
-			e.pending = e.runRoundParallel()
-		} else {
-			e.pending = e.runRoundSerial()
-		}
-		for _, b := range s.bufs {
-			e.stats.add(b.stats)
-			e.deliv = append(e.deliv, b.delivered...)
-		}
+		e.pending = e.runRound()
+		e.stats.add(e.buf.stats)
+		e.deliv = append(e.deliv, e.buf.delivered...)
 		if e.pending > e.cfg.MaxInFlight {
 			return e.stats, e.errCap(e.pending)
 		}
@@ -298,9 +247,8 @@ func (e *Engine) Run(ctx context.Context) (Stats, error) {
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Delivered returns the packets delivered since the last Reset, in
-// delivery order. The order is deterministic and identical for serial and
-// parallel runs: workers own contiguous node blocks and their buffers are
-// merged in worker order, which reproduces the serial node sweep.
+// delivery order. The order is deterministic: each round sweeps the nodes
+// in index order.
 func (e *Engine) Delivered() []Packet {
 	out := make([]Packet, len(e.deliv))
 	copy(out, e.deliv)
@@ -346,20 +294,12 @@ func (e *Engine) Reset() {
 	}
 }
 
-// outPkt is a packet emitted during a round, destined to a forwarding node.
-type outPkt struct {
-	dst int32
-	pkt Packet
-}
-
-// roundBuf collects one worker's outputs for a round — packets bound for
-// other switches (bucketed by the destination's owning worker), delivered
-// packets, and counter deltas — plus the worker's batch-forwarding
-// scratch. Buffers live in schedState and are truncated, never freed, so
-// a warm engine forwards without allocating.
+// roundBuf collects a round's outputs — the count of packets bound for
+// other switches, delivered packets, and counter deltas — plus the
+// batch-forwarding scratch. It is truncated, never freed, so a warm engine
+// forwards without allocating.
 type roundBuf struct {
-	out       [][]outPkt // indexed by destination owner worker
-	outN      int        // packets emitted directly to queues (serial mode)
+	outN      int // packets emitted to next-hop queues
 	delivered []Packet
 	stats     Stats
 	rids      [][]byte // scratch: routeIDs of the batch under forwarding
@@ -368,97 +308,31 @@ type roundBuf struct {
 
 // reset truncates the buffers for a new round, keeping capacity.
 func (b *roundBuf) reset() {
-	for i := range b.out {
-		b.out[i] = b.out[i][:0]
-	}
 	b.outN = 0
 	b.delivered = b.delivered[:0]
 	b.stats = Stats{}
 }
 
-// runRoundSerial is the single-worker round: all queues are swapped out
-// first, then every batch is forwarded with emit appending straight into
-// the destination queues — no out buckets and no merge pass, so each
-// packet is copied once per hop. Returns the next round's pending count.
-func (e *Engine) runRoundSerial() int {
-	s := e.sched
-	buf := s.bufs[0]
+// runRound forwards every queued packet one hop. All queues are swapped
+// out first — each against its recycled batch array from the previous
+// round, so the pair of backing arrays ping-pongs with no reallocation —
+// then every batch is forwarded with emit appending straight into the
+// destination queues, so each packet is copied once per hop and none is
+// re-forwarded within its round. Returns the next round's pending count.
+func (e *Engine) runRound() int {
+	buf := &e.buf
 	buf.reset()
 	for i, ns := range e.nodes {
 		batch := ns.queue
-		ns.queue = s.batches[i][:0]
-		s.batches[i] = batch
+		ns.queue = e.batches[i][:0]
+		e.batches[i] = batch
 	}
 	for i, ns := range e.nodes {
-		if batch := s.batches[i]; len(batch) > 0 {
+		if batch := e.batches[i]; len(batch) > 0 {
 			e.forwardBatch(ns, batch, buf)
 		}
 	}
 	return buf.outN
-}
-
-// runBlock forwards every queued packet of worker w's node block one hop,
-// emitting into w's round buffer. Each node's queue is swapped against
-// its recycled batch array from the previous round, so the pair of
-// backing arrays ping-pongs between "this round's input" and "next
-// round's queue" with no reallocation.
-func (e *Engine) runBlock(w int) {
-	s := e.sched
-	buf := s.bufs[w]
-	buf.reset()
-	for i := s.bounds[w]; i < s.bounds[w+1]; i++ {
-		ns := e.nodes[i]
-		batch := ns.queue
-		ns.queue = s.batches[i][:0]
-		s.batches[i] = batch
-		if len(batch) > 0 {
-			e.forwardBatch(ns, batch, buf)
-		}
-	}
-}
-
-// mergeBlock drains every round buffer's bucket for worker w into the
-// ingress queues of w's own nodes and returns the packet count merged.
-// Source buffers are read in worker order, so the merged queue order is
-// exactly the serial order regardless of the worker count.
-func (e *Engine) mergeBlock(w int) int {
-	s := e.sched
-	n := 0
-	for src := 0; src < s.workers; src++ {
-		bucket := s.bufs[src].out[w]
-		for k := range bucket {
-			op := &bucket[k]
-			e.nodes[op.dst].queue = append(e.nodes[op.dst].queue, op.pkt)
-		}
-		n += len(bucket)
-	}
-	return n
-}
-
-// runRoundParallel runs one round over the worker blocks: every worker
-// forwards its block, then — after a single barrier — merges the packets
-// bound for its own nodes. Per-node state stays single-owner end to end;
-// no coordinator re-buckets packets.
-func (e *Engine) runRoundParallel() int {
-	s := e.sched
-	var fwd, all sync.WaitGroup
-	fwd.Add(s.workers)
-	all.Add(s.workers)
-	for w := 0; w < s.workers; w++ {
-		go func(w int) {
-			defer all.Done()
-			e.runBlock(w)
-			fwd.Done()
-			fwd.Wait()
-			s.merged[w] = e.mergeBlock(w)
-		}(w)
-	}
-	all.Wait()
-	n := 0
-	for _, m := range s.merged {
-		n += m
-	}
-	return n
 }
 
 // forwardBatch executes the forwarding decisions for one node's ingress
@@ -565,8 +439,8 @@ func (e *Engine) forwardOne(ns *nodeState, pkt Packet, residue uint64, buf *roun
 }
 
 // emitRun sends a run of live packets out of ns through one port: the run
-// is appended in a single copy to its destination (next-hop queue,
-// per-owner bucket, or the delivered list) and the per-packet mutations
+// is appended in a single copy to its destination (next-hop queue or the
+// delivered list) and the per-packet mutations
 // (TTL decrement, egress stamp) are fixed up in place. Rx/Hops accounting
 // happens once per run in forwardBatch, so multicast replication through
 // repeated emitRun calls counts each packet's arrival once.
@@ -581,24 +455,13 @@ func (e *Engine) emitRun(ns *nodeState, run []Packet, port uint64, buf *roundBuf
 	if dst >= 0 {
 		ns.stats.Tx += n
 		ns.stats.Egress[port] += n
-		if e.sched.workers == 1 {
-			q := append(e.nodes[dst].queue, run...)
-			seg := q[len(q)-len(run):]
-			for i := range seg {
-				seg[i].TTL--
-			}
-			e.nodes[dst].queue = q
-			buf.outN += len(run)
-			return
+		q := append(e.nodes[dst].queue, run...)
+		seg := q[len(q)-len(run):]
+		for i := range seg {
+			seg[i].TTL--
 		}
-		o := e.sched.owner[dst]
-		bkt := buf.out[o]
-		for i := range run {
-			pkt := run[i]
-			pkt.TTL--
-			bkt = append(bkt, outPkt{dst: dst, pkt: pkt})
-		}
-		buf.out[o] = bkt
+		e.nodes[dst].queue = q
+		buf.outN += len(run)
 		return
 	}
 	// Delivery off-domain. A PoT run shares one (Acc, Nonce) — stamped by
@@ -650,16 +513,8 @@ func (e *Engine) emit(ns *nodeState, pkt Packet, port uint64, buf *roundBuf) {
 	if dst >= 0 {
 		ns.stats.Tx++
 		ns.stats.Egress[port]++
-		if e.sched.workers == 1 {
-			// Serial rounds swap every queue out before forwarding, so
-			// appending straight to the destination skips the bucket+merge
-			// copy without ever re-forwarding a packet within its round.
-			e.nodes[dst].queue = append(e.nodes[dst].queue, pkt)
-			buf.outN++
-		} else {
-			o := e.sched.owner[dst]
-			buf.out[o] = append(buf.out[o], outPkt{dst: dst, pkt: pkt})
-		}
+		e.nodes[dst].queue = append(e.nodes[dst].queue, pkt)
+		buf.outN++
 		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port,
 			Next: ns.neighbor[port], TTL: pkt.TTL})
 		return

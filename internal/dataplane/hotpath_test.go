@@ -304,11 +304,12 @@ func deliveredKeys(pkts []Packet) []deliveredKey {
 	return out
 }
 
-// mixedModesRun drives one engine with the three forwarding modes and
-// returns the delivered projection plus the engine for stats inspection.
-func mixedModesRun(t *testing.T, workers int) ([]deliveredKey, Stats, map[string]NodeStats) {
+// mixedModesRun drives one engine with the three forwarding modes at once
+// (40 packets each of unicast, PoT and a two-leaf multicast tree) and
+// returns the delivered projection, the stats and every node's counters.
+func mixedModesRun(t *testing.T, cfg Config) ([]deliveredKey, Stats, map[string]NodeStats) {
 	t.Helper()
-	e := labEngine(t, Config{Workers: workers})
+	e := labEngine(t, cfg)
 	lab := e.Topology()
 	uni, err := e.UnicastRoute(topo.TunnelPath1())
 	if err != nil {
@@ -362,35 +363,41 @@ func mixedModesRun(t *testing.T, workers int) ([]deliveredKey, Stats, map[string
 	return deliveredKeys(e.Delivered()), stats, nodeStats
 }
 
-// TestSerialParallelDeliveredIdentical is the determinism contract:
-// Delivered() — order and packet contents — plus Stats and every node's
-// counters are identical across worker counts, under all three modes at
-// once. Contiguous block ownership with worker-order merging is what
-// makes the parallel schedule reproduce the serial sweep exactly.
-func TestSerialParallelDeliveredIdentical(t *testing.T) {
-	refKeys, refStats, refNodes := mixedModesRun(t, 1)
-	if len(refKeys) == 0 {
-		t.Fatal("reference run delivered nothing")
+// TestParallelTraceAndMixedModes runs all three modes at once with a trace
+// hook, which forces the per-packet path for every hop, and then without
+// one, which takes the batched run path: Delivered() — order and packet
+// contents — plus Stats and every node's counters must be identical.
+func TestParallelTraceAndMixedModes(t *testing.T) {
+	var events uint64
+	refKeys, refStats, refNodes := mixedModesRun(t, Config{Trace: func(TraceEvent) { events++ }})
+	want := uint64(40 + 40 + 80) // unicast + pot + two multicast copies each
+	if refStats.Delivered != want {
+		t.Fatalf("delivered %d, want %d", refStats.Delivered, want)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		keys, stats, nodes := mixedModesRun(t, workers)
-		if stats != refStats {
-			t.Fatalf("workers=%d stats diverge:\nserial   %+v\nparallel %+v", workers, refStats, stats)
+	if refStats.PoTVerified != 40 {
+		t.Fatalf("potVerified %d, want 40", refStats.PoTVerified)
+	}
+	// One trace event per emitted copy: unicast/PoT hops emit one each,
+	// multicast hops one per replica. 40 unicast·3 + 40 pot·3 + 40
+	// multicast·(2 at MIA + 1 at SAO + 1 at CHI + 2 at AMS).
+	if want := uint64(40*3 + 40*3 + 40*6); events != want {
+		t.Fatalf("trace events %d, want %d", events, want)
+	}
+	keys, stats, nodes := mixedModesRun(t, Config{})
+	if stats != refStats {
+		t.Fatalf("stats diverge:\nper-packet %+v\nbatched    %+v", refStats, stats)
+	}
+	if len(keys) != len(refKeys) {
+		t.Fatalf("batched delivered %d packets, per-packet %d", len(keys), len(refKeys))
+	}
+	for i := range keys {
+		if keys[i] != refKeys[i] {
+			t.Fatalf("delivered[%d] diverges:\nper-packet %+v\nbatched    %+v", i, refKeys[i], keys[i])
 		}
-		if len(keys) != len(refKeys) {
-			t.Fatalf("workers=%d delivered %d packets, serial %d", workers, len(keys), len(refKeys))
-		}
-		for i := range keys {
-			if keys[i] != refKeys[i] {
-				t.Fatalf("workers=%d delivered[%d] diverges:\nserial   %+v\nparallel %+v",
-					workers, i, refKeys[i], keys[i])
-			}
-		}
-		for name, ref := range refNodes {
-			got := nodes[name]
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("workers=%d node %s counters diverge:\nserial   %+v\nparallel %+v", workers, name, ref, got)
-			}
+	}
+	for name, ref := range refNodes {
+		if got := nodes[name]; !reflect.DeepEqual(got, ref) {
+			t.Fatalf("node %s counters diverge:\nper-packet %+v\nbatched    %+v", name, ref, got)
 		}
 	}
 }
@@ -400,7 +407,7 @@ func TestSerialParallelDeliveredIdentical(t *testing.T) {
 // delivered sequence and stats byte for byte, with the recycled buffers
 // warm.
 func TestResetReplaysIdentically(t *testing.T) {
-	e := labEngine(t, Config{Workers: 2})
+	e := labEngine(t, Config{})
 	uni, err := e.UnicastRoute(topo.TunnelPath1())
 	if err != nil {
 		t.Fatal(err)

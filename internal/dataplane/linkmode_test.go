@@ -279,13 +279,18 @@ func TestFullModeResetReplays(t *testing.T) {
 	}
 }
 
-func TestFullModeRejectsWorkers(t *testing.T) {
+func TestRejectsWorkers(t *testing.T) {
 	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(lab, Config{LinkMode: LinkFull, Workers: 4}); err == nil {
-		t.Fatal("LinkFull with Workers > 1 accepted; the event loop is serial")
+	for _, mode := range []LinkMode{LinkFast, LinkFull} {
+		if _, err := New(lab, Config{LinkMode: mode, Workers: 4}); err == nil {
+			t.Fatalf("%v with Workers > 1 accepted; the engine is serial", mode)
+		}
+		if _, err := New(lab, Config{LinkMode: mode, Workers: 1}); err != nil {
+			t.Fatalf("%v with Workers = 1 rejected: %v", mode, err)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // seam — so the suite's wall clock scales with hardware instead of with
 // scenario count.
 //
-// The life of one dispatch (the default, work-stealing mode):
+// The life of one dispatch:
 //
 //	probe    every backend's /v1/healthz (bounded per-probe budget);
 //	         dead or draining backends are excluded at planning time
@@ -27,10 +27,6 @@
 //	         single-process run would have produced (MergeUnits),
 //	         refusing overlaps, gaps, and quick/full mixes
 //
-// Options.FixedShards restores the previous plan — one fixed
-// scenario.Shard{i,n} job per live backend, merged by MergeShards —
-// reachable from labctl as -steal=false.
-//
 // cmd/labctl's -addrs/-addrs-file flags drive this for run/suite/bench
 // with the same artifacts and exit codes as single-backend -addr mode;
 // the dispatchtest subpackage is the in-process multi-labd cluster (with
@@ -53,9 +49,9 @@ import (
 
 // Options tunes one dispatch. Spec is the only required field; the
 // dispatcher owns the shard fields (a caller-set shard slice is
-// rejected — the whole point is that the fleet is the shard matrix).
+// rejected — the fleet divides the suite itself, one scenario at a time).
 type Options struct {
-	// Spec is the base job every shard derives from: scenarios, quick,
+	// Spec is the base job every unit derives from: scenarios, quick,
 	// parallel, failfast, timeout, configs. ShardIndex/ShardCount must be
 	// zero.
 	Spec labd.JobSpec
@@ -63,25 +59,19 @@ type Options struct {
 	ProbeTimeout time.Duration
 	// RequestTimeout bounds control calls — submit, status, cancel — so a
 	// hung backend surfaces as a fault instead of a stall (default 30s).
-	// Event streams are exempt: a shard legitimately runs for a long time.
+	// Event streams are exempt: a unit legitimately runs for a long time.
 	RequestTimeout time.Duration
-	// RetryDelay is the pause before resubmitting requeued work to a
-	// backend that already turned it away — the base of the exponential
-	// busy backoff in steal mode, the all-survivors-tried pause in fixed
-	// mode (default 250ms).
+	// RetryDelay is the pause before a backend that turned work away
+	// pulls again — the base of the exponential busy backoff (default
+	// 250ms).
 	RetryDelay time.Duration
-	// MaxAttempts caps submissions per unit (or per shard under
-	// FixedShards). The default is 2 × the backends that pass the
-	// planning probe — derived from the live fleet, not the address list,
-	// so a 10-address fleet with one survivor does not retry 20× against
-	// the lone backend.
+	// MaxAttempts caps submissions per unit. The default is 2 × the
+	// backends that pass the planning probe — derived from the live fleet,
+	// not the address list, so a 10-address fleet with one survivor does
+	// not retry 20× against the lone backend.
 	MaxAttempts int
-	// FixedShards restores the PR-5 plan: one fixed shard i/n job per
-	// live backend instead of the scenario-granular work queue
-	// (labctl -steal=false).
-	FixedShards bool
-	// ReprobeInterval paces the steal-mode health re-probe that lets
-	// excluded or mid-run-dead backends join the plan live (default 1s).
+	// ReprobeInterval paces the health re-probe that lets excluded or
+	// mid-run-dead backends join the plan live (default 1s).
 	ReprobeInterval time.Duration
 	// OnEvent receives every job's progress events, serialized (never
 	// concurrently); nil discards them.
@@ -89,58 +79,30 @@ type Options struct {
 	// Logf receives dispatcher operational lines (planning, requeues);
 	// nil discards them.
 	Logf func(format string, args ...any)
-
-	// planHook lets package tests doctor the planned shard set (overlaps,
-	// quick/full mixes) to drive the merge refusals through the real
-	// dispatch path.
-	planHook func([]plan) []plan
 }
 
 // Event is one multiplexed progress event, stamped with where it ran.
 type Event struct {
 	// Backend is the normalized address of the daemon that emitted it.
 	Backend string
-	// Shard is the slot the event belongs to: the shard slice under
-	// FixedShards, or unit-index/suite-size in steal mode.
+	// Shard is the slot the event belongs to: unit-index/suite-size.
 	Shard scenario.Shard
 	// Event is the underlying labd progress event.
 	Event labd.Event
 }
 
-// ShardRun records how one shard slot was executed.
-type ShardRun struct {
-	// Shard is the deterministic slice this run covered.
-	Shard scenario.Shard
-	// Backend is the daemon that produced the accepted result.
-	Backend string
-	// JobID is the accepted job's id on that backend.
-	JobID string
-	// Attempts counts submissions, requeues included.
-	Attempts int
-	// Requeues lists the backends that failed this shard along the way.
-	Requeues []string
-	// Result is the shard's suite result.
-	Result *scenario.SuiteResult
-	// Raw preserves the daemon's exact result bytes for artifact splicing.
-	Raw json.RawMessage
-}
-
 // Result is one complete dispatch.
 type Result struct {
-	// Names is the full resolved suite order the shards partition.
+	// Names is the full resolved suite order the units cover.
 	Names []string
 	// Suite is the merged result, outcome order identical to a
 	// single-process run over Names.
 	Suite *scenario.SuiteResult
-	// Raw is the merged result spliced from the shards' exact report
+	// Raw is the merged result spliced from the units' exact report
 	// bytes, so artifacts stay byte-identical to single-backend runs.
 	Raw json.RawMessage
-	// Units are the scenario-granular unit runs, ordered by suite index
-	// (steal mode; empty under FixedShards).
+	// Units are the scenario-granular unit runs, ordered by suite index.
 	Units []UnitRun
-	// Shards are the per-shard runs, ordered by shard index (FixedShards
-	// mode; empty otherwise).
-	Shards []ShardRun
 	// Excluded lists backends dropped at planning time (dead or
 	// draining), in probe order.
 	Excluded []string
@@ -155,59 +117,9 @@ type backend struct {
 	stream *labd.Client
 }
 
-// plan is one shard slot with its initially assigned backend.
-type plan struct {
-	spec    labd.JobSpec
-	shard   scenario.Shard
-	backend *backend
-}
-
-// fleet is the shared live/dead view the shard goroutines requeue
-// against.
-type fleet struct {
-	mu       sync.Mutex
-	backends []*backend
-	dead     map[string]bool
-	cursor   int // rotates the all-tried fallback across survivors
-}
-
-// markDead excludes a backend from future requeue picks.
-func (f *fleet) markDead(addr string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.dead[addr] = true
-}
-
-// pick returns a surviving backend, preferring ones the shard has not
-// tried yet; with every survivor already tried, any survivor is fair
-// game again (a queue_full backend may have drained). Returns nil when
-// no backend survives.
-func (f *fleet) pick(tried map[string]bool) *backend {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, b := range f.backends {
-		if !f.dead[b.addr] && !tried[b.addr] {
-			return b
-		}
-	}
-	// Every survivor has been tried: rotate a cursor through the fleet so
-	// repeated requeues spread across the survivors instead of hammering
-	// whichever one comes first in input order.
-	n := len(f.backends)
-	for i := 0; i < n; i++ {
-		b := f.backends[(f.cursor+i)%n]
-		if f.dead[b.addr] {
-			continue
-		}
-		f.cursor = (f.cursor + i + 1) % n
-		return b
-	}
-	return nil
-}
-
 // Run dispatches one suite across the backends at addrs and returns the
 // merged result. It fails (rather than returning a partial result) when
-// no backend is healthy, a unit or shard exhausts its attempts, the
+// no backend is healthy, a unit exhausts its attempts, the
 // spec is rejected, or the merge invariants are violated; scenario-level
 // failures are not errors — they surface in the merged SuiteResult
 // exactly as a local run's would.
@@ -230,7 +142,7 @@ func Run(ctx context.Context, addrs []string, opts Options) (*Result, error) {
 	if opts.ReprobeInterval <= 0 {
 		opts.ReprobeInterval = time.Second
 	}
-	// Both callbacks fire from concurrent shard goroutines and callers
+	// Both callbacks fire from concurrent puller goroutines and callers
 	// routinely point them at the same writer (labctl -v), so one mutex
 	// serializes them together.
 	var cbMu sync.Mutex
@@ -259,7 +171,7 @@ func Run(ctx context.Context, addrs []string, opts Options) (*Result, error) {
 	}
 
 	// Probe: only backends that answer /v1/healthz and are not draining
-	// get shards.
+	// get a puller.
 	live, excluded := probe(ctx, backends, opts.ProbeTimeout)
 	for _, ex := range excluded {
 		logf("dispatch: excluding %s at planning time: %s", ex.addr, ex.reason)
@@ -286,89 +198,20 @@ func Run(ctx context.Context, addrs []string, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("dispatch: the fleet serves no scenarios")
 	}
 
-	if !opts.FixedShards {
-		logf("dispatch: %d scenario(s) as work units over %d live backend(s), %d excluded",
-			len(names), len(live), len(excluded))
-		units, err := runSteal(ctx, backends, live, names, opts, logf, onEvent)
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		suite, raw, err := MergeUnits(names, units)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Names: names, Suite: suite, Raw: raw, Units: units}
-		for _, ex := range excluded {
-			res.Excluded = append(res.Excluded, ex.addr)
-		}
-		return res, nil
+	logf("dispatch: %d scenario(s) as work units over %d live backend(s), %d excluded",
+		len(names), len(live), len(excluded))
+	units, err := runSteal(ctx, backends, live, names, opts, logf, onEvent)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
 	}
-
-	// Plan: one shard per live backend, capped at the suite size (a 6th
-	// backend for a 5-scenario suite would only ever run an empty shard).
-	n := len(live)
-	if n > len(names) {
-		n = len(names)
-	}
-	plans := make([]plan, n)
-	for i := range plans {
-		spec := opts.Spec
-		spec.Scenarios = names
-		spec.ShardIndex, spec.ShardCount = i, n
-		plans[i] = plan{spec: spec, shard: scenario.Shard{Index: i, Count: n}, backend: live[i]}
-	}
-	if opts.planHook != nil {
-		plans = opts.planHook(plans)
-	}
-	logf("dispatch: %d scenario(s) over %d shard(s), %d backend(s) live, %d excluded",
-		len(names), len(plans), len(live), len(excluded))
-
-	fl := &fleet{backends: live, dead: make(map[string]bool)}
-	runs := make([]ShardRun, len(plans))
-	errs := make([]error, len(plans))
-	// One shard failing permanently dooms the whole dispatch, so cancel
-	// the siblings immediately instead of letting them run their slices
-	// to completion for a result that will be thrown away.
-	shardCtx, cancelShards := context.WithCancel(ctx)
-	defer cancelShards()
-	var wg sync.WaitGroup
-	for i := range plans {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runs[i], errs[i] = runShard(shardCtx, fl, plans[i], opts, logf, onEvent)
-			if errs[i] != nil {
-				cancelShards()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Prefer the error that triggered the cancelation over the siblings'
-	// resulting context.Canceled.
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	suite, raw, err := MergeShards(names, runs)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Names: names, Suite: suite, Raw: raw, Shards: runs}
+	suite, raw, err := MergeUnits(names, units)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Names: names, Suite: suite, Raw: raw, Units: units}
 	for _, ex := range excluded {
 		res.Excluded = append(res.Excluded, ex.addr)
 	}
@@ -459,71 +302,20 @@ func fleetNames(ctx context.Context, live []*backend) ([]string, error) {
 	return nil, fmt.Errorf("dispatch: listing fleet scenarios: %w", lastErr)
 }
 
-// runShard executes one shard slot to an accepted result, requeuing
-// across the fleet on backend faults. The first attempt goes to the
-// planned backend; every later one to a survivor the shard has not
-// tried, falling back (after RetryDelay) to retrying survivors when all
-// have turned it away once.
-func runShard(ctx context.Context, fl *fleet, p plan, opts Options, logf func(string, ...any), onEvent func(Event)) (ShardRun, error) {
-	run := ShardRun{Shard: p.shard}
-	tried := map[string]bool{}
-	b := p.backend
-	for {
-		if err := ctx.Err(); err != nil {
-			return run, err
-		}
-		if b == nil {
-			return run, fmt.Errorf("dispatch: shard %s: no surviving backend to requeue onto (%d attempt(s))",
-				p.shard, run.Attempts)
-		}
-		run.Attempts++
-		tried[b.addr] = true
-		st, err := runShardOn(ctx, b, p, opts.RequestTimeout, onEvent)
-		if err == nil {
-			run.Backend, run.JobID = b.addr, st.ID
-			run.Result, run.Raw = st.Result, st.RawResult
-			return run, nil
-		}
-		fault, permanent := classify(err, st)
-		if permanent {
-			return run, fmt.Errorf("dispatch: shard %s on %s: %w", p.shard, b.addr, err)
-		}
-		if run.Attempts >= opts.MaxAttempts {
-			return run, fmt.Errorf("dispatch: shard %s: giving up after %d attempt(s), last backend %s: %w",
-				p.shard, run.Attempts, b.addr, err)
-		}
-		if fault {
-			fl.markDead(b.addr)
-		}
-		logf("dispatch: shard %s: requeuing off %s (%v)", p.shard, b.addr, err)
-		run.Requeues = append(run.Requeues, b.addr)
-		next := fl.pick(tried)
-		if next != nil && tried[next.addr] {
-			// Every survivor has already turned this shard away once; give
-			// their queues a beat before going around again.
-			select {
-			case <-time.After(opts.RetryDelay):
-			case <-ctx.Done():
-				return run, ctx.Err()
-			}
-		}
-		b = next
-	}
-}
-
-// runShardOn submits one shard job to one backend and waits it out. A
-// scenario-failed job (result attached) is an accepted outcome — the
-// failure belongs in the merged suite result, same as a local run; every
-// other non-done ending is an error for the caller to classify. On any
-// non-terminal exit (interrupt, wedged or partitioned backend) the job
-// is canceled best-effort — without blocking the requeue on a dead host
-// — so the same shard does not keep executing on two backends at once.
-func runShardOn(ctx context.Context, b *backend, p plan, reqTimeout time.Duration, onEvent func(Event)) (*labd.JobStatus, error) {
-	st, err := b.ctl.Submit(ctx, p.spec)
+// runUnitOn submits one unit's job to one backend and waits it out;
+// slot stamps the unit's events. A scenario-failed job (result attached)
+// is an accepted outcome — the failure belongs in the merged suite
+// result, same as a local run; every other non-done ending is an error
+// for the caller to classify. On any non-terminal exit (interrupt, wedged
+// or partitioned backend) the job is canceled best-effort — without
+// blocking the requeue on a dead host — so the same unit does not keep
+// executing on two backends at once.
+func runUnitOn(ctx context.Context, b *backend, spec labd.JobSpec, slot scenario.Shard, reqTimeout time.Duration, onEvent func(Event)) (*labd.JobStatus, error) {
+	st, err := b.ctl.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	final, err := waitShard(ctx, b, st.ID, p, onEvent)
+	final, err := waitUnit(ctx, b, st.ID, slot, onEvent)
 	var jerr *labd.JobError
 	if errors.As(err, &jerr) {
 		// The job is terminal on the backend; nothing to cancel. Failed
@@ -549,24 +341,24 @@ func runShardOn(ctx context.Context, b *backend, p plan, reqTimeout time.Duratio
 
 const (
 	// pollInterval paces the authoritative job-status polls while a
-	// shard runs.
+	// unit runs.
 	pollInterval = 250 * time.Millisecond
 	// streamRetryDelay paces event-stream reconnects after a break.
 	streamRetryDelay = 250 * time.Millisecond
 )
 
-// waitShard blocks until the job is terminal and returns its final
+// waitUnit blocks until the job is terminal and returns its final
 // status — *labd.JobError for a failed/canceled ending, mirroring
 // labd.Client.Wait. Unlike Wait, the authoritative status polls run on
 // the timed control client while the untimed stream client only feeds
-// events best-effort in the background: a backend that accepts a shard
+// events best-effort in the background: a backend that accepts a unit
 // and then wedges surfaces as a poll timeout (a requeueable fault)
 // instead of stalling the dispatch behind a hung event stream.
 // A closed follow stream usually means the job just went terminal, so
 // it kicks an immediate status poll instead of sleeping out the
-// interval — per-unit completion latency is what paces a steal-mode
-// dispatch, not job runtime.
-func waitShard(ctx context.Context, b *backend, id string, p plan, onEvent func(Event)) (*labd.JobStatus, error) {
+// interval — per-unit completion latency is what paces a dispatch, not
+// job runtime.
+func waitUnit(ctx context.Context, b *backend, id string, slot scenario.Shard, onEvent func(Event)) (*labd.JobStatus, error) {
 	sctx, stopStream := context.WithCancel(ctx)
 	defer stopStream()
 	streamDone := make(chan struct{})
@@ -576,7 +368,7 @@ func waitShard(ctx context.Context, b *backend, id string, p plan, onEvent func(
 		for {
 			err := b.stream.StreamEvents(sctx, id, since, true, func(ev labd.Event) error {
 				since = ev.Seq
-				onEvent(Event{Backend: b.addr, Shard: p.shard, Event: ev})
+				onEvent(Event{Backend: b.addr, Shard: slot, Event: ev})
 				return nil
 			})
 			if err == nil || sctx.Err() != nil {
@@ -599,7 +391,7 @@ func waitShard(ctx context.Context, b *backend, id string, p plan, onEvent func(
 		}
 		if st.State.Terminal() {
 			// Let the event stream drain its tail so -v output is complete,
-			// but never stall a finished shard behind a broken stream.
+			// but never stall a finished unit behind a broken stream.
 			select {
 			case <-streamDone:
 			case <-time.After(2 * pollInterval):
@@ -621,7 +413,7 @@ func waitShard(ctx context.Context, b *backend, id string, p plan, onEvent func(
 	}
 }
 
-// classify sorts a shard attempt's error into backend faults (requeue
+// classify sorts a unit attempt's error into backend faults (requeue
 // and stop using the backend), busy signals (requeue, backend may
 // recover), and permanent errors (the same spec would fail anywhere —
 // abort the dispatch). Returns (markDead, permanent).

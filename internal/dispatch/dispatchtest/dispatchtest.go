@@ -5,7 +5,7 @@
 // fault clears), and 503 (submissions turned away as queue_full or
 // draining while the rest of the API stays healthy). Faults compose
 // with the real dispatcher paths: a hung probe excludes the backend at
-// planning time, a 503 submission requeues the shard, a kill mid-run
+// planning time, a 503 submission requeues the unit, a kill mid-run
 // exercises death detection and requeue onto survivors.
 package dispatchtest
 

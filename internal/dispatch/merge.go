@@ -8,110 +8,16 @@ import (
 	"repro/internal/scenario"
 )
 
-// MergeShards reassembles per-shard suite results into the result a
-// single-process run over names would have produced: outcome j of the
-// merged suite comes from shard j mod n — the inverse of the
-// round-robin assignment scenario.ShardNames makes. The merge is
-// deterministic and refuses anything that would make it not so:
-//
-//   - shard slots must partition exactly — every index 0..n-1 exactly
-//     once, all with Count == n (two shards covering the same slot, or a
-//     slot missing, means some scenario ran twice or never);
-//   - each shard's outcomes must be exactly its deterministic slice of
-//     names, in order (an overlap or stale shard surfaces as a
-//     mismatched scenario);
-//   - quick and full shards never mix, for the same reason quick and
-//     full snapshots never diff.
-//
-// The raw merged document is spliced from each shard's exact outcome
-// bytes, so -o artifacts stay byte-identical to single-backend runs
-// (modulo measured wall time).
-func MergeShards(names []string, shards []ShardRun) (*scenario.SuiteResult, json.RawMessage, error) {
-	n := len(shards)
-	if n == 0 {
-		return nil, nil, fmt.Errorf("dispatch: merge of zero shards")
-	}
-	byIndex := make([]*ShardRun, n)
-	for i := range shards {
-		sh := &shards[i]
-		if sh.Result == nil {
-			return nil, nil, fmt.Errorf("dispatch: shard %s has no result", sh.Shard)
-		}
-		if sh.Shard.Count != n {
-			return nil, nil, fmt.Errorf("dispatch: shard %s in a merge of %d shards", sh.Shard, n)
-		}
-		if sh.Shard.Index < 0 || sh.Shard.Index >= n {
-			return nil, nil, fmt.Errorf("dispatch: shard index %d out of range [0,%d)", sh.Shard.Index, n)
-		}
-		if byIndex[sh.Shard.Index] != nil {
-			return nil, nil, fmt.Errorf("dispatch: overlapping shards: slot %d/%d covered twice (%s and %s)",
-				sh.Shard.Index, n, byIndex[sh.Shard.Index].Backend, sh.Backend)
-		}
-		byIndex[sh.Shard.Index] = sh
-	}
-	quick := byIndex[0].Result.Quick
-	for _, sh := range byIndex {
-		if sh.Result.Quick != quick {
-			return nil, nil, fmt.Errorf("dispatch: merging quick and full shards (shard %s quick=%v, shard 0/%d quick=%v)",
-				sh.Shard, sh.Result.Quick, n, quick)
-		}
-	}
-
-	// Each shard's outcomes must be exactly its deterministic slice.
-	rawOutcomes := make([][]json.RawMessage, n)
-	for i, sh := range byIndex {
-		want := scenario.ShardNames(names, sh.Shard)
-		got := sh.Result.Outcomes
-		if len(got) != len(want) {
-			return nil, nil, fmt.Errorf("dispatch: shard %s ran %d scenario(s), its slice holds %d",
-				sh.Shard, len(got), len(want))
-		}
-		for k, o := range got {
-			if o.Scenario != want[k] {
-				return nil, nil, fmt.Errorf("dispatch: shard %s outcome %d is %q, its slice expects %q — overlapping or stale shard",
-					sh.Shard, k, o.Scenario, want[k])
-			}
-		}
-		raws, err := splitRaw(sh.Raw, sh.Result.Outcomes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dispatch: shard %s: %w", sh.Shard, err)
-		}
-		rawOutcomes[i] = raws
-	}
-
-	merged := &scenario.SuiteResult{Outcomes: make([]scenario.Outcome, len(names)), Quick: quick}
-	var buf bytes.Buffer
-	buf.WriteString(`{"outcomes":[`)
-	for j := range names {
-		sh := byIndex[j%n]
-		out := sh.Result.Outcomes[j/n]
-		merged.Outcomes[j] = out
-		if out.Skipped {
-			merged.Skipped++
-		} else if out.Error != "" {
-			merged.Failed++
-		}
-		if j > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(rawOutcomes[j%n][j/n])
-	}
-	fmt.Fprintf(&buf, `],"failed":%d,"skipped":%d`, merged.Failed, merged.Skipped)
-	if quick {
-		buf.WriteString(`,"quick":true`)
-	}
-	buf.WriteByte('}')
-	return merged, json.RawMessage(buf.Bytes()), nil
-}
-
-// MergeUnits is the per-scenario merge path for steal-mode dispatches:
-// unit j carries exactly the single outcome of names[j], and the merged
-// document splices each unit's raw outcome bytes back together in suite
-// order — the same byte-identical-artifact guarantee MergeShards gives
-// fixed shards, with the same refusals (a scenario covered twice, a
-// unit that ran the wrong scenario, quick and full results mixed). A
-// fail-fast-skipped unit contributes the same skipped outcome a local
-// fail-fast run would have recorded.
+// MergeUnits reassembles per-unit results into the result a
+// single-process run over names would have produced: unit j carries
+// exactly the single outcome of names[j], and the merged document splices
+// each unit's raw outcome bytes back together in suite order, so -o
+// artifacts stay byte-identical to single-backend runs (modulo measured
+// wall time). The merge is deterministic and refuses anything that would
+// make it not so: a scenario covered twice or never, a unit that ran the
+// wrong scenario, quick and full results mixed (for the same reason quick
+// and full snapshots never diff). A fail-fast-skipped unit contributes
+// the same skipped outcome a local fail-fast run would have recorded.
 func MergeUnits(names []string, units []UnitRun) (*scenario.SuiteResult, json.RawMessage, error) {
 	if len(units) != len(names) {
 		return nil, nil, fmt.Errorf("dispatch: merge of %d unit(s) over %d scenario(s)", len(units), len(names))

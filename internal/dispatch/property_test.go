@@ -12,9 +12,7 @@ import (
 // degradation: for every fleet size n in 1..5 and every combination of
 // backend deaths that leaves at least one survivor, the dispatcher's
 // merged suite result covers exactly the full registry — the union of
-// executed work is the whole suite, and no scenario runs twice. Both
-// scheduling modes carry the same bar: the default work-stealing queue
-// and the -steal=false fixed shard plan.
+// executed work is the whole suite, and no scenario runs twice.
 //
 // Three death flavors exercise the two distinct unhappy paths:
 //
@@ -32,46 +30,36 @@ func TestDispatchCoverageProperty(t *testing.T) {
 		{"busy", func(b *dispatchtest.Backend) { b.SetFault(dispatchtest.FaultQueueFull) }},
 		{"drain", func(b *dispatchtest.Backend) { b.SetFault(dispatchtest.FaultDraining) }},
 	}
-	modes := []struct {
-		name  string
-		fixed bool
-	}{
-		{"steal", false},
-		{"fixed", true},
-	}
 	for _, flavor := range flavors {
-		for _, mode := range modes {
-			flavor, mode := flavor, mode
-			t.Run(flavor.name+"/"+mode.name, func(t *testing.T) {
-				t.Parallel()
-				for n := 1; n <= 5; n++ {
-					// Every subset of dead backends with ≥ 1 survivor.
-					for mask := 0; mask < 1<<n-1; mask++ {
-						cluster := dispatchtest.New(n, labd.Config{Workers: 2})
-						for i := 0; i < n; i++ {
-							if mask&(1<<i) != 0 {
-								flavor.apply(cluster.Backends[i])
-							}
+		flavor := flavor
+		t.Run(flavor.name+"/steal", func(t *testing.T) {
+			t.Parallel()
+			for n := 1; n <= 5; n++ {
+				// Every subset of dead backends with ≥ 1 survivor.
+				for mask := 0; mask < 1<<n-1; mask++ {
+					cluster := dispatchtest.New(n, labd.Config{Workers: 2})
+					for i := 0; i < n; i++ {
+						if mask&(1<<i) != 0 {
+							flavor.apply(cluster.Backends[i])
 						}
-						res, err := Run(ctxT(t), cluster.Addrs(), Options{
-							Spec:        labd.JobSpec{Scenarios: fixtureNames, Quick: true},
-							RetryDelay:  50 * time.Millisecond,
-							FixedShards: mode.fixed,
-						})
-						if err != nil {
-							cluster.Close()
-							t.Fatalf("n=%d mask=%b: %v", n, mask, err)
-						}
-						checkExactCoverage(t, res, n, mask)
-						cluster.Close()
 					}
+					res, err := Run(ctxT(t), cluster.Addrs(), Options{
+						Spec:       labd.JobSpec{Scenarios: fixtureNames, Quick: true},
+						RetryDelay: 50 * time.Millisecond,
+					})
+					if err != nil {
+						cluster.Close()
+						t.Fatalf("n=%d mask=%b: %v", n, mask, err)
+					}
+					checkExactCoverage(t, res, n, mask)
+					cluster.Close()
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// checkExactCoverage asserts the merged result and the executed shards
+// checkExactCoverage asserts the merged result and the executed units
 // both cover the full registry exactly once, in registry order.
 func checkExactCoverage(t *testing.T, res *Result, n, mask int) {
 	t.Helper()
@@ -86,15 +74,9 @@ func checkExactCoverage(t *testing.T, res *Result, n, mask int) {
 			t.Fatalf("n=%d mask=%b: outcome %s not green: %+v", n, mask, o.Scenario, o)
 		}
 	}
-	// Independently of the merge: the union of what the accepted shard or
-	// unit runs actually executed is exactly the registry, no scenario
-	// twice.
+	// Independently of the merge: the union of what the accepted unit
+	// runs actually executed is exactly the registry, no scenario twice.
 	executed := map[string]int{}
-	for _, sh := range res.Shards {
-		for _, o := range sh.Result.Outcomes {
-			executed[o.Scenario]++
-		}
-	}
 	for _, u := range res.Units {
 		if u.Skipped {
 			continue

@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// unit is one scenario-granular work item: the atom of a steal-mode
-// dispatch. A unit requeues as a whole when its backend faults, so a
-// dead backend re-spills exactly the scenario it was running — never a
-// multi-scenario slice, which is the straggler/requeue-granularity
-// defect the fixed shard plan had.
+// unit is one scenario-granular work item: the atom of a dispatch. A
+// unit requeues as a whole when its backend faults, so a dead backend
+// re-spills exactly the scenario it was running — never a
+// multi-scenario slice.
 type unit struct {
 	index    int // position in the resolved suite order
 	name     string
@@ -18,7 +17,7 @@ type unit struct {
 	requeues []string // backends that faulted this unit away
 }
 
-// workQueue is the dispatcher-side queue steal-mode pullers drain. It
+// workQueue is the dispatcher-side queue the pullers drain. It
 // tracks three unit populations — pending (available to take),
 // in-flight (held by a puller), and finished — and completes when every
 // unit is finished or a fatal error poisons the dispatch.

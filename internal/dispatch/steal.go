@@ -12,8 +12,7 @@ import (
 	"repro/internal/scenario"
 )
 
-// UnitRun records how one scenario-granular work unit was executed — the
-// unit-level analogue of ShardRun for the default steal-mode dispatch.
+// UnitRun records how one scenario-granular work unit was executed.
 type UnitRun struct {
 	// Scenario is the unit's single scenario.
 	Scenario string
@@ -52,7 +51,7 @@ const (
 	maxBusyBackoff  = 8 // busy backoff cap, in multiples of RetryDelay
 )
 
-// stealer owns one steal-mode dispatch: the work queue, the per-backend
+// stealer owns one dispatch: the work queue, the per-backend
 // pullers, and the live fleet view (which backends have an active
 // puller, their observed throughput, the re-probe loop that lets dead
 // or late backends join mid-run).
@@ -153,13 +152,9 @@ func (d *stealer) pull(ctx context.Context, b *backend) {
 			return
 		}
 		u.attempts++
-		p := plan{
-			backend: b,
-			spec:    d.unitSpec(u),
-			shard:   scenario.Shard{Index: u.index, Count: len(d.names)},
-		}
+		slot := scenario.Shard{Index: u.index, Count: len(d.names)}
 		start := time.Now()
-		st, err := runShardOn(ctx, b, p, d.opts.RequestTimeout, d.onEvent)
+		st, err := runUnitOn(ctx, b, d.unitSpec(u), slot, d.opts.RequestTimeout, d.onEvent)
 		if err == nil {
 			d.observe(b.addr, time.Since(start))
 			busyDelay = d.opts.RetryDelay

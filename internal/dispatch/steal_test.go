@@ -120,66 +120,20 @@ func TestStealBackendJoinsMidRun(t *testing.T) {
 // default: three dead addresses and one busy survivor must give up
 // after 2 attempts (2 × 1 live), not 8 (2 × 4 listed).
 func TestStealMaxAttemptsDerivedFromLiveBackends(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		fixed bool
-	}{{"steal", false}, {"fixed", true}} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			cluster := newCluster(t, 4)
-			for i := 0; i < 3; i++ {
-				cluster.Backends[i].Kill()
-			}
-			cluster.Backends[3].SetFault(dispatchtest.FaultQueueFull)
-			_, err := Run(ctxT(t), cluster.Addrs(), Options{
-				Spec:        labd.JobSpec{Scenarios: fixtureNames, Quick: true},
-				RetryDelay:  10 * time.Millisecond,
-				FixedShards: mode.fixed,
-			})
-			if err == nil || !strings.Contains(err.Error(), "giving up after 2 attempt(s)") {
-				t.Fatalf("err = %v, want give-up after 2 attempts (2 × live, not 2 × listed)", err)
-			}
-		})
-	}
-}
-
-// TestFleetPickRotatesFallback pins the fallback-rotation bugfix: once
-// every survivor has been tried, repeated picks must cycle through the
-// survivors instead of always returning the first one.
-func TestFleetPickRotatesFallback(t *testing.T) {
-	mk := func(addrs ...string) *fleet {
-		f := &fleet{dead: make(map[string]bool)}
-		for _, a := range addrs {
-			f.backends = append(f.backends, &backend{addr: a})
+	t.Run("steal", func(t *testing.T) {
+		cluster := newCluster(t, 4)
+		for i := 0; i < 3; i++ {
+			cluster.Backends[i].Kill()
 		}
-		return f
-	}
-	f := mk("a", "b", "c")
-	tried := map[string]bool{"a": true, "b": true, "c": true}
-	var got []string
-	for i := 0; i < 4; i++ {
-		got = append(got, f.pick(tried).addr)
-	}
-	if want := "a,b,c,a"; strings.Join(got, ",") != want {
-		t.Errorf("all-tried picks = %v, want rotation %s", got, want)
-	}
-
-	// Dead survivors are skipped by the rotation.
-	f = mk("a", "b", "c")
-	f.markDead("b")
-	got = nil
-	for i := 0; i < 4; i++ {
-		got = append(got, f.pick(tried).addr)
-	}
-	if want := "a,c,a,c"; strings.Join(got, ",") != want {
-		t.Errorf("picks with b dead = %v, want %s", got, want)
-	}
-
-	// Untried survivors still take precedence over the rotation.
-	f = mk("a", "b", "c")
-	if b := f.pick(map[string]bool{"a": true}); b.addr != "b" {
-		t.Errorf("pick with a tried = %s, want the first untried (b)", b.addr)
-	}
+		cluster.Backends[3].SetFault(dispatchtest.FaultQueueFull)
+		_, err := Run(ctxT(t), cluster.Addrs(), Options{
+			Spec:       labd.JobSpec{Scenarios: fixtureNames, Quick: true},
+			RetryDelay: 10 * time.Millisecond,
+		})
+		if err == nil || !strings.Contains(err.Error(), "giving up after 2 attempt(s)") {
+			t.Fatalf("err = %v, want give-up after 2 attempts (2 × live, not 2 × listed)", err)
+		}
+	})
 }
 
 // TestWorkQueueFailFastDrainsPending: a failed unit under fail-fast

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func fastTestbedConfig() TestbedConfig {
 }
 
 func TestFig11LatencyMigrationShape(t *testing.T) {
-	res, err := RunLatencyMigration(fastTestbedConfig())
+	res, err := RunLatencyMigrationContext(context.Background(), fastTestbedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestFig11LatencyMigrationShape(t *testing.T) {
 }
 
 func TestFig12FlowAggregationShape(t *testing.T) {
-	res, err := RunFlowAggregation(fastTestbedConfig())
+	res, err := RunFlowAggregationContext(context.Background(), fastTestbedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestFig6ComparisonArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 18-model sweep")
 	}
-	res, err := RunMLComparison(DefaultMLConfig())
+	res, err := RunMLComparisonContext(context.Background(), DefaultMLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +106,12 @@ func TestFig6ComparisonArtifact(t *testing.T) {
 
 func TestFig7And8Artifacts(t *testing.T) {
 	// Fig. 7: RFR tracks the observed series closely.
-	rfr, err := RunObservedVsPredicted("RFR", DefaultMLConfig())
+	rfr, err := RunObservedVsPredictedContext(context.Background(), "RFR", DefaultMLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fig. 8: GPR drifts far from it.
-	gpr, err := RunObservedVsPredicted("GPR", DefaultMLConfig())
+	gpr, err := RunObservedVsPredictedContext(context.Background(), "GPR", DefaultMLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestFig7And8Artifacts(t *testing.T) {
 	if len(rfr.WiFi.Observed) != len(rfr.WiFi.Predicted) || len(rfr.WiFi.Observed) == 0 {
 		t.Error("misaligned observed/predicted series")
 	}
-	if _, err := RunObservedVsPredicted("NotAModel", DefaultMLConfig()); err == nil {
+	if _, err := RunObservedVsPredictedContext(context.Background(), "NotAModel", DefaultMLConfig()); err == nil {
 		t.Error("unknown model should fail")
 	}
 }

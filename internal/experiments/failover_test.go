@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestFailureRecoveryShape(t *testing.T) {
-	res, err := RunFailureRecovery(fastTestbedConfig())
+	res, err := RunFailureRecoveryContext(context.Background(), fastTestbedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,18 +57,8 @@ type FCTResult struct {
 	Completed int
 }
 
-// RunFCT plays the completion-time experiment under one policy.
-//
-// Deprecated: use RunFCTContext (or the "fct" entry in the scenario
-// registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunFCT(cfg FCTConfig) (*FCTResult, error) {
-	return RunFCTContext(context.Background(), cfg)
-}
-
-// RunFCTContext is RunFCT under a context, checked across arrivals and
-// the drain loop.
+// RunFCTContext plays the completion-time experiment under one policy;
+// ctx is checked across arrivals and the drain loop.
 func RunFCTContext(ctx context.Context, cfg FCTConfig) (*FCTResult, error) {
 	if cfg.Transfers < 1 || len(cfg.SizesMB) == 0 || cfg.MeanInterarrivalSec <= 0 {
 		return nil, fmt.Errorf("experiments: invalid FCT config %+v", cfg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestMultipathAggregationEndToEnd(t *testing.T) {
-	res, err := RunMultipathAggregation()
+	res, err := RunMultipathAggregationContext(context.Background(), DefaultMultipathConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestMultipathAggregationEndToEnd(t *testing.T) {
 		t.Errorf("branch rates = %v, want ≈[10 5]", res.BranchMbps)
 	}
 	// Deterministic artifact.
-	res2, err := RunMultipathAggregation()
+	res2, err := RunMultipathAggregationContext(context.Background(), DefaultMultipathConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

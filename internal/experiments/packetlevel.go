@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/dataplane"
@@ -12,7 +11,7 @@ import (
 )
 
 // The packet-level scenario complements the fluid testbed experiments: where
-// RunLatencyMigration and RunFlowAggregation emulate flows as rates, this
+// the latencymigration and flowaggregation scenarios emulate flows as rates, this
 // scenario pushes individual packets through the same Global P4 Lab with the
 // dataplane engine, exercising all three PolKA forwarding modes at once —
 // the three tunnels as unicast routes, an M-PolKA multicast tree fanning out
@@ -28,10 +27,6 @@ type PacketLevelConfig struct {
 	PacketsPerRoute int
 	// PacketSize is the simulated payload size in bytes (default 1500).
 	PacketSize int
-	// Workers selects the engine execution mode: 0 auto-sizes to the
-	// machine's CPU count (what the retired dataplanedemo binary did), 1
-	// forces serial, > 1 fixes the worker count.
-	Workers int
 	// MeasureRounds repeats the identical workload (Reset replays are
 	// byte-deterministic) and reports the mean forwarding rate across
 	// the repetitions, so PktsPerSec is a steady-state figure rather
@@ -43,8 +38,7 @@ type PacketLevelConfig struct {
 	PoTSeed int64
 	// FullLinks routes every inter-switch handoff through the full link
 	// tier (dataplane.LinkFull): frames serialize at each link's topology
-	// capacity and cross its propagation delay in virtual time. Forces
-	// serial execution (the event loop is single-threaded).
+	// capacity and cross its propagation delay in virtual time.
 	FullLinks bool
 	// Seed roots the full-tier link randomness (FullLinks only).
 	Seed int64
@@ -97,29 +91,13 @@ type PacketLevelResult struct {
 	VirtualMs float64
 }
 
-// RunPacketLevel runs the packet-level forwarding scenario on the Global P4
-// Lab.
-//
-// Deprecated: use RunPacketLevelContext (or the "packetlevel" entry in
-// the scenario registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunPacketLevel(cfg PacketLevelConfig) (*PacketLevelResult, error) {
-	return RunPacketLevelContext(context.Background(), cfg)
-}
-
-// RunPacketLevelContext is RunPacketLevel under a context: the engine's
-// forwarding rounds poll ctx, so even large batches abort promptly.
+// RunPacketLevelContext runs the packet-level forwarding scenario on the
+// Global P4 Lab. The engine's forwarding rounds poll ctx, so even large
+// batches abort promptly.
 func RunPacketLevelContext(ctx context.Context, cfg PacketLevelConfig) (*PacketLevelResult, error) {
 	cfg = cfg.withDefaults()
-	// Workers stays 0 ("auto") in serialized configs so defaults are
-	// machine-independent; the resolution to the actual CPU count happens
-	// here at run time.
 	if cfg.FullLinks {
-		cfg.Workers = 1
 		cfg.MeasureRounds = 1
-	} else if cfg.Workers == 0 {
-		cfg.Workers = runtime.NumCPU()
 	}
 	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
 	if err != nil {
@@ -130,7 +108,7 @@ func RunPacketLevelContext(ctx context.Context, cfg PacketLevelConfig) (*PacketL
 	if err != nil {
 		return nil, err
 	}
-	ecfg := dataplane.Config{Domain: domain, Workers: cfg.Workers}
+	ecfg := dataplane.Config{Domain: domain}
 	if cfg.FullLinks {
 		ecfg.LinkMode = dataplane.LinkFull
 		ecfg.Seed = cfg.Seed

@@ -47,19 +47,9 @@ type RLResult struct {
 	Policies []RLPolicyResult
 }
 
-// RunRLComparison trains the Q-learning agent and evaluates it against
-// the greedy and random baselines.
-//
-// Deprecated: use RunRLComparisonContext (or the "rl" entry in the
-// scenario registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunRLComparison(cfg RLConfig) (*RLResult, error) {
-	return RunRLComparisonContext(context.Background(), cfg)
-}
-
-// RunRLComparisonContext is RunRLComparison under a context, checked
-// between training episodes.
+// RunRLComparisonContext trains the Q-learning agent and evaluates it
+// against the greedy and random baselines; ctx is checked between training
+// episodes.
 func RunRLComparisonContext(ctx context.Context, cfg RLConfig) (*RLResult, error) {
 	if cfg.Episodes < 1 {
 		cfg.Episodes = 80
@@ -89,7 +79,7 @@ func RunRLComparisonContext(ctx context.Context, cfg RLConfig) (*RLResult, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		total, perFlow, err := env.Evaluate(p.choose)
+		total, perFlow, err := env.Evaluate(ctx, p.choose)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: rl evaluating %s: %w", p.name, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -72,7 +73,9 @@ func TestWholeStackOnRandomTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d path %d: addflow: %v", trial, pi, err)
 			}
-			emu.RunFor(5)
+			if err := emu.RunForContext(context.Background(), 5); err != nil {
+				t.Fatal(err)
+			}
 			fl, err := emu.Flow(id)
 			if err != nil {
 				t.Fatal(err)

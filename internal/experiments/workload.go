@@ -94,18 +94,8 @@ type WorkloadResult struct {
 	Series *timeseries.Series
 }
 
-// RunWorkload plays the soak under one policy.
-//
-// Deprecated: use RunWorkloadContext (or the "workload" entry in the
-// scenario registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
-	return RunWorkloadContext(context.Background(), cfg)
-}
-
-// RunWorkloadContext is RunWorkload under a context, checked every
-// emulated second of the soak.
+// RunWorkloadContext plays the soak under one policy; ctx is checked every
+// emulated second.
 func RunWorkloadContext(ctx context.Context, cfg WorkloadConfig) (*WorkloadResult, error) {
 	if cfg.DurationSec <= 0 {
 		cfg.DurationSec = 600

@@ -36,11 +36,16 @@ func (s *testScenario) Run(ctx context.Context, env *scenario.Env, cfg any) (*sc
 	return s.run(ctx, env)
 }
 
-// register adds a uniquely named test scenario (the global registry
-// persists for the whole test binary).
+// registered numbers the test scenarios: the global registry persists for
+// the whole test binary and refuses duplicates, so a name must stay
+// unique when -count or -cpu runs a test more than once.
+var registered atomic.Int64
+
+// register adds a uniquely named test scenario.
 func register(t *testing.T, suffix string, run func(context.Context, *scenario.Env) (*scenario.Report, error)) *testScenario {
 	t.Helper()
-	s := &testScenario{name: strings.ToLower(t.Name()) + "-" + suffix, run: run}
+	name := fmt.Sprintf("%s-%s-%d", strings.ToLower(t.Name()), suffix, registered.Add(1))
+	s := &testScenario{name: name, run: run}
 	scenario.Register(s)
 	return s
 }

@@ -13,7 +13,7 @@ func TestFailLinkBlackholesFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	f, _ := e.Flow(id)
 	if f.RateMbps < 19 {
 		t.Fatalf("flow did not ramp: %v", f.RateMbps)
@@ -21,7 +21,7 @@ func TestFailLinkBlackholesFlow(t *testing.T) {
 	if err := e.FailLink(topo.MIA, topo.SAO); err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(2)
+	runFor(t, e, 2)
 	f, _ = e.Flow(id)
 	if f.RateMbps != 0 {
 		t.Errorf("flow rate over failed link = %v, want 0", f.RateMbps)
@@ -30,7 +30,7 @@ func TestFailLinkBlackholesFlow(t *testing.T) {
 	if err := e.Reroute(id, topo.TunnelPath2()); err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	f, _ = e.Flow(id)
 	if math.Abs(f.RateMbps-10) > 0.5 {
 		t.Errorf("rerouted rate = %v, want ≈10", f.RateMbps)
@@ -86,7 +86,7 @@ func TestRestoreLink(t *testing.T) {
 		t.Error("link should be back up")
 	}
 	id, _ := e.AddFlow(greedySpec("f1", 4, topo.TunnelPath1()))
-	e.RunFor(10)
+	runFor(t, e, 10)
 	f, _ := e.Flow(id)
 	if f.RateMbps < 19 {
 		t.Errorf("flow over restored link = %v, want ≈20", f.RateMbps)

@@ -15,7 +15,7 @@ func TestFiniteFlowCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	f, _ := e.Flow(id)
 	if f.Active {
 		t.Fatal("finite flow still active after 10 s")
@@ -37,7 +37,7 @@ func TestFiniteFlowReleasesCapacity(t *testing.T) {
 	short.SizeMB = 5
 	a, _ := e.AddFlow(short)
 	b, _ := e.AddFlow(greedySpec("long", 8, topo.TunnelPath1()))
-	e.RunFor(20)
+	runFor(t, e, 20)
 	fa, _ := e.Flow(a)
 	fb, _ := e.Flow(b)
 	if fa.Active {
@@ -51,7 +51,7 @@ func TestFiniteFlowReleasesCapacity(t *testing.T) {
 func TestUnboundedFlowNeverCompletes(t *testing.T) {
 	e := labEmulator(t, Config{})
 	id, _ := e.AddFlow(greedySpec("inf", 4, topo.TunnelPath1()))
-	e.RunFor(30)
+	runFor(t, e, 30)
 	f, _ := e.Flow(id)
 	if !f.Active || f.CompletedAt != -1 {
 		t.Errorf("unbounded flow state: active=%v completedAt=%v", f.Active, f.CompletedAt)

@@ -22,7 +22,7 @@ func TestMultipathAggregatesSubpathBottlenecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	f, err := e.Flow(id)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestMultipathSharesFairlyWithSinglePathFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(15)
+	runFor(t, e, 15)
 	fmp, _ := e.Flow(mp)
 	fsp, _ := e.Flow(sp)
 	if math.Abs(fsp.RateMbps-10) > 0.3 {
@@ -90,11 +90,11 @@ func TestMultipathSurvivesSubpathFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	if err := e.FailLink(topo.MIA, topo.CAL); err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(5)
+	runFor(t, e, 5)
 	f, _ := e.Flow(id)
 	if math.Abs(f.RateMbps-10) > 0.3 {
 		t.Errorf("rate after subpath failure = %v, want ≈10 (tunnel-2 share survives)", f.RateMbps)
@@ -105,7 +105,7 @@ func TestMultipathSurvivesSubpathFailure(t *testing.T) {
 	if err := e.RestoreLink(topo.MIA, topo.CAL); err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	f, _ = e.Flow(id)
 	if math.Abs(f.RateMbps-15) > 0.3 {
 		t.Errorf("rate after restore = %v, want ≈15", f.RateMbps)
@@ -115,7 +115,7 @@ func TestMultipathSurvivesSubpathFailure(t *testing.T) {
 func TestSingledPathFlowSnapshotHasOneSubRate(t *testing.T) {
 	e := labEmulator(t, Config{})
 	id, _ := e.AddFlow(greedySpec("f", 4, topo.TunnelPath1()))
-	e.RunFor(5)
+	runFor(t, e, 5)
 	f, _ := e.Flow(id)
 	if len(f.SubRates) != 1 || math.Abs(f.SubRates[0]-f.RateMbps) > 1e-9 {
 		t.Errorf("single-path SubRates = %v vs rate %v", f.SubRates, f.RateMbps)

@@ -440,21 +440,6 @@ func (e *Emulator) takeDueLocked() []event {
 	return due
 }
 
-// RunUntil advances the simulation until the clock reaches t.
-//
-//lint:labvet-ignore convenience wrapper; delegates to RunUntilContext, the cancellable entry point
-func (e *Emulator) RunUntil(t float64) {
-	// Background never cancels, so the error is structurally nil.
-	_ = e.RunUntilContext(context.Background(), t)
-}
-
-// RunFor advances the simulation by d seconds.
-//
-//lint:labvet-ignore convenience wrapper; delegates through RunUntil to the cancellable RunUntilContext
-func (e *Emulator) RunFor(d float64) {
-	e.RunUntil(e.Now() + d)
-}
-
 // RunUntilContext advances the simulation until the clock reaches t,
 // checking ctx between ticks so arbitrarily long runs abort promptly on
 // cancellation. The clock stops at a tick boundary; the emulator stays

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -18,6 +19,20 @@ func labEmulator(t *testing.T, cfg Config) *Emulator {
 	return New(lab, cfg)
 }
 
+// runUntil advances e to time at under a context that never cancels.
+func runUntil(t *testing.T, e *Emulator, at float64) {
+	t.Helper()
+	if err := e.RunUntilContext(context.Background(), at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runFor advances e by d seconds under a context that never cancels.
+func runFor(t *testing.T, e *Emulator, d float64) {
+	t.Helper()
+	runUntil(t, e, e.Now()+d)
+}
+
 func greedySpec(name string, tos uint8, p topo.Path) FlowSpec {
 	return FlowSpec{
 		Name: name, Src: topo.HostMIA, Dst: topo.HostAMS,
@@ -31,7 +46,7 @@ func TestSingleFlowReachesBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	f, err := e.Flow(id)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +67,7 @@ func TestRampIsGradual(t *testing.T) {
 	if f.RateMbps > 1.0+1e-9 {
 		t.Errorf("rate after one tick = %v, want ≤ 1 (ramp 10 Mbps/s)", f.RateMbps)
 	}
-	e.RunFor(5)
+	runFor(t, e, 5)
 	f, _ = e.Flow(id)
 	if f.RateMbps < 19.9 {
 		t.Errorf("rate after 5 s = %v, want ≈20", f.RateMbps)
@@ -64,7 +79,7 @@ func TestDemandCap(t *testing.T) {
 	spec := greedySpec("f1", 4, topo.TunnelPath1())
 	spec.DemandMbps = 3
 	id, _ := e.AddFlow(spec)
-	e.RunFor(5)
+	runFor(t, e, 5)
 	f, _ := e.Flow(id)
 	if math.Abs(f.RateMbps-3) > 1e-6 {
 		t.Errorf("rate = %v, want 3 (demand cap)", f.RateMbps)
@@ -83,7 +98,7 @@ func TestThreeFlowsShareTunnel1(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	total := e.TotalActiveMbps(ids...)
 	if math.Abs(total-20) > 0.1 {
 		t.Errorf("total = %v, want ≈20", total)
@@ -106,14 +121,14 @@ func TestRerouteRaisesTotal(t *testing.T) {
 		id, _ := e.AddFlow(greedySpec("f", uint8(4*(i+1)), topo.TunnelPath1()))
 		ids = append(ids, id)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	if err := e.Reroute(ids[1], topo.TunnelPath2()); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Reroute(ids[2], topo.TunnelPath3()); err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(10)
+	runFor(t, e, 10)
 	total := e.TotalActiveMbps(ids...)
 	if total < 34.9 {
 		t.Errorf("total after spreading = %v, want ≈35 (20+10+5)", total)
@@ -152,7 +167,7 @@ func TestProbeRTTGrowsWithLoad(t *testing.T) {
 	e := labEmulator(t, Config{})
 	idle, _ := e.ProbeRTTms(topo.TunnelPath1())
 	_, _ = e.AddFlow(greedySpec("f1", 4, topo.TunnelPath1()))
-	e.RunFor(10)
+	runFor(t, e, 10)
 	loaded, _ := e.ProbeRTTms(topo.TunnelPath1())
 	if loaded <= idle {
 		t.Errorf("RTT under load (%v) should exceed idle RTT (%v)", loaded, idle)
@@ -208,11 +223,11 @@ func TestStopFlowReleasesCapacity(t *testing.T) {
 	e := labEmulator(t, Config{})
 	a, _ := e.AddFlow(greedySpec("a", 4, topo.TunnelPath1()))
 	b, _ := e.AddFlow(greedySpec("b", 8, topo.TunnelPath1()))
-	e.RunFor(10)
+	runFor(t, e, 10)
 	if err := e.StopFlow(a); err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(5)
+	runFor(t, e, 5)
 	fb, _ := e.Flow(b)
 	if math.Abs(fb.RateMbps-20) > 0.1 {
 		t.Errorf("survivor rate = %v, want ≈20", fb.RateMbps)
@@ -229,7 +244,7 @@ func TestScheduleExecutesInOrder(t *testing.T) {
 	e.Schedule(1.0, func(*Emulator) { log = append(log, "b") })
 	e.Schedule(0.2, func(*Emulator) { log = append(log, "a") })
 	e.Schedule(2.0, func(*Emulator) { log = append(log, "c") })
-	e.RunUntil(3)
+	runUntil(t, e, 3)
 	if strings.Join(log, "") != "abc" {
 		t.Errorf("event order = %v", log)
 	}
@@ -238,7 +253,7 @@ func TestScheduleExecutesInOrder(t *testing.T) {
 func TestSeriesRecording(t *testing.T) {
 	e := labEmulator(t, Config{TickSeconds: 0.1, RecordLinkSeries: true})
 	id, _ := e.AddFlow(greedySpec("f1", 4, topo.TunnelPath1()))
-	e.RunFor(2)
+	runFor(t, e, 2)
 	s, err := e.FlowSeries(id)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +297,7 @@ func TestPathAvailableMbps(t *testing.T) {
 		t.Errorf("idle available = %v, want 10", avail)
 	}
 	_, _ = e.AddFlow(greedySpec("f1", 4, topo.TunnelPath2()))
-	e.RunFor(5)
+	runFor(t, e, 5)
 	avail, _ = e.PathAvailableMbps(topo.TunnelPath2())
 	if avail > 0.2 {
 		t.Errorf("available under saturation = %v, want ≈0", avail)
@@ -339,7 +354,7 @@ func TestScheduleSameInstantKeepsRegistrationOrder(t *testing.T) {
 	e.Schedule(2.0, note("c2"))
 	e.Schedule(0.0, note("a2"))
 	e.Schedule(1.0, note("b4"))
-	e.RunUntil(3)
+	runUntil(t, e, 3)
 	if got, want := strings.Join(log, " "), "a1 a2 b1 b2 b3 b4 b5 c1 c2"; got != want {
 		t.Errorf("event order = %q, want %q", got, want)
 	}
@@ -358,7 +373,7 @@ func TestRecurringEventSurvivesTheDueBuffer(t *testing.T) {
 		em.Schedule(em.Now()+1, tick)
 	}
 	e.Schedule(0, tick)
-	e.RunUntil(10)
+	runUntil(t, e, 10)
 	if len(fired) != 10 {
 		t.Fatalf("fired %d times in 10 s: %v", len(fired), fired)
 	}
@@ -399,7 +414,7 @@ func TestSteadyTickAllocatesNothing(t *testing.T) {
 		em.Schedule(em.Now()+1, tick)
 	}
 	e.Schedule(0, tick)
-	e.RunUntil(100)
+	runUntil(t, e, 100)
 	if allocs := testing.AllocsPerRun(200, e.Step); allocs != 0 {
 		t.Errorf("a steady tick allocates %v times", allocs)
 	}

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"testing"
 )
 
@@ -110,15 +111,15 @@ func TestTrainingLearnsToSpreadFlows(t *testing.T) {
 		t.Fatal("agent visited no states")
 	}
 
-	trained, _, err := env.Evaluate(PolicyChooser(agent, caps))
+	trained, _, err := env.Evaluate(context.Background(), PolicyChooser(agent, caps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, _, err := env.Evaluate(RandomChooser([]int{1, 2, 3}, 99))
+	random, _, err := env.Evaluate(context.Background(), RandomChooser([]int{1, 2, 3}, 99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, _, err := env.Evaluate(GreedyChooser())
+	greedy, _, err := env.Evaluate(context.Background(), GreedyChooser())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestEvaluateRejectsBadPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := env.Evaluate(func(map[int]float64) (int, error) { return 42, nil }); err == nil {
+	if _, _, err := env.Evaluate(context.Background(), func(map[int]float64) (int, error) { return 42, nil }); err == nil {
 		t.Error("policy choosing unknown tunnel should fail")
 	}
 	if err := env.Train(nil2Agent(t), 0); err == nil {

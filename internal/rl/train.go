@@ -142,7 +142,9 @@ func (e *Env) TrainContext(ctx context.Context, agent *Agent, episodes int) erro
 			if err != nil {
 				return err
 			}
-			emu.RunFor(e.SettleSec)
+			if err := emu.RunForContext(ctx, e.SettleSec); err != nil {
+				return err
+			}
 			reward := emu.TotalActiveMbps() - before
 			avail, err = e.availability(emu)
 			if err != nil {
@@ -164,8 +166,9 @@ func (e *Env) TrainContext(ctx context.Context, agent *Agent, episodes int) erro
 // Evaluate plays one deterministic episode under the policy and returns
 // the total throughput achieved after all flows are placed, plus the
 // per-flow rates in arrival order. Demands cycle deterministically so
-// policies are compared on identical workloads.
-func (e *Env) Evaluate(choose Chooser) (total float64, perFlow []float64, err error) {
+// policies are compared on identical workloads. ctx is checked every
+// emulator tick.
+func (e *Env) Evaluate(ctx context.Context, choose Chooser) (total float64, perFlow []float64, err error) {
 	emu, err := e.newEmulator()
 	if err != nil {
 		return 0, nil, err
@@ -195,9 +198,13 @@ func (e *Env) Evaluate(choose Chooser) (total float64, perFlow []float64, err er
 			return 0, nil, err
 		}
 		ids = append(ids, id)
-		emu.RunFor(e.SettleSec)
+		if err := emu.RunForContext(ctx, e.SettleSec); err != nil {
+			return 0, nil, err
+		}
 	}
-	emu.RunFor(10)
+	if err := emu.RunForContext(ctx, 10); err != nil {
+		return 0, nil, err
+	}
 	for _, id := range ids {
 		fl, err := emu.Flow(id)
 		if err != nil {
