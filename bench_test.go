@@ -1,14 +1,14 @@
-// Package repro's root benchmark harness: one benchmark per table/figure
-// of the paper's evaluation (Section V), ablations of the design choices,
-// and throughput benchmarks for the packet-level data plane
-// (internal/dataplane). Run everything with
+// Package repro's root benchmarks: the hot-path set the CI allocation
+// gate pins against GOBENCH_2.json (DataplaneForwarding/serial,
+// DataplaneTableVsNaive, DataplaneLinkTiers, DataplaneFullSparse,
+// NetemTick, HecateRecommend) plus the control loop's two
+// cross-goroutine benchmarks (BusRequest, ControlLoopInsert), which run
+// in the benchmark smoke step but are not pinned. Run them with
 //
-//	go test -bench=. -benchmem
+//	go test -run='^$' -bench=. -benchmem .
 //
-// The figure benchmarks execute the same experiment drivers as the CLIs
-// (cmd/mlcompare, cmd/labdemo, cmd/dataplanedemo), so each timed iteration
-// regenerates the corresponding artifact end to end. See README.md for the
-// module layout and how each benchmark maps onto the paper.
+// The paper's figures are scenario metrics (labctl bench), not
+// benchmarks; see README.md for how each maps onto the paper.
 package repro
 
 import (
@@ -21,502 +21,12 @@ import (
 	"repro/internal/bus"
 	"repro/internal/controlplane"
 	"repro/internal/dataplane"
-	"repro/internal/dataset"
-	"repro/internal/experiments"
-	"repro/internal/gf2"
 	"repro/internal/hecate"
 	"repro/internal/link"
-	"repro/internal/ml"
 	"repro/internal/netem"
 	"repro/internal/polka"
-	"repro/internal/rl"
-	"repro/internal/srbase"
 	"repro/internal/topo"
 )
-
-// benchTestbedConfig keeps the emulated experiments short enough to time.
-func benchTestbedConfig() experiments.TestbedConfig {
-	return experiments.TestbedConfig{
-		Model:             "LR",
-		Phase1Sec:         20,
-		Phase2Sec:         20,
-		SampleIntervalSec: 1,
-		WarmupSec:         30,
-	}
-}
-
-// BenchmarkFig1Forwarding times the Fig. 1 worked example's data-plane
-// operation: one PolKA mod-forwarding decision at node s2.
-func BenchmarkFig1Forwarding(b *testing.B) {
-	d, err := polka.NewDomainWithIDs(map[string]gf2.Poly{
-		"s1": gf2.FromUint64(0b11),
-		"s2": gf2.FromUint64(0b111),
-		"s3": gf2.FromUint64(0b1011),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rid, err := d.EncodePath([]polka.PathHop{{Node: "s1", Port: 1}, {Node: "s2", Port: 2}, {Node: "s3", Port: 6}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s2, _ := d.Switch("s2")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s2.OutputPort(rid) != 2 {
-			b.Fatal("wrong port")
-		}
-	}
-}
-
-// BenchmarkFig5bDatasetGeneration times synthesizing the 500 s two-path
-// UQ-like trace.
-func BenchmarkFig5bDatasetGeneration(b *testing.B) {
-	cfg := dataset.DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := dataset.Generate(cfg)
-		if tr.Len() != 500 {
-			b.Fatal("bad trace")
-		}
-	}
-}
-
-// BenchmarkFig6RegressorSweep times the full 18-model RMSE comparison on
-// both paths — the whole Fig. 6 regeneration.
-func BenchmarkFig6RegressorSweep(b *testing.B) {
-	cfg := experiments.DefaultMLConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMLComparisonContext(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 18 {
-			b.Fatal("bad sweep")
-		}
-	}
-}
-
-// BenchmarkFig7RandomForestPredict times the Fig. 7 artifact: Random
-// Forest fitted and evaluated on both paths.
-func BenchmarkFig7RandomForestPredict(b *testing.B) {
-	cfg := experiments.DefaultMLConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunObservedVsPredictedContext(context.Background(), "RFR", cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8GaussianProcessPredict times the Fig. 8 artifact: the
-// (pathological) Gaussian Process fitted and evaluated on both paths.
-func BenchmarkFig8GaussianProcessPredict(b *testing.B) {
-	cfg := experiments.DefaultMLConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunObservedVsPredictedContext(context.Background(), "GPR", cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig11LatencyMigration times testbed experiment 1 end to end:
-// framework bring-up, training, pinned phase, optimizer consultation, PBR
-// migration, and probing.
-func BenchmarkFig11LatencyMigration(b *testing.B) {
-	cfg := benchTestbedConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunLatencyMigrationContext(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ToTunnel != 2 {
-			b.Fatalf("migration landed on tunnel %d", res.ToTunnel)
-		}
-	}
-}
-
-// BenchmarkFig12FlowAggregation times testbed experiment 2 end to end.
-func BenchmarkFig12FlowAggregation(b *testing.B) {
-	cfg := benchTestbedConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFlowAggregationContext(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Phase2MeanTotal < 30 {
-			b.Fatalf("aggregate only reached %v Mbps", res.Phase2MeanTotal)
-		}
-	}
-}
-
-// BenchmarkMinMaxOptimizer times the Section III flow-model solvers on the
-// Fig. 2 two-path instance.
-func BenchmarkMinMaxOptimizer(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := hecate.MinMaxSplit(15, 20, 10); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := hecate.MinDelaySplit(8, 10, 10); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := hecate.LinearCostSplit(8, 10, 10, 1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations ------------------------------------------------------------
-
-// BenchmarkAblationRouteIDCRT times route computation from scratch for a
-// 5-hop path, versus the precomputed-basis variant below — the PolKA
-// controller's cost to provision a tunnel.
-func BenchmarkAblationRouteIDCRT(b *testing.B) {
-	moduli := gf2.IrreducibleSequence(4, 5)
-	residues := make([]gf2.Poly, len(moduli))
-	for i := range residues {
-		residues[i] = gf2.FromUint64(uint64(i + 1))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gf2.CRT(residues, moduli); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationRouteIDCRTBasis amortizes the CRT basis across route
-// computations sharing the same core nodes.
-func BenchmarkAblationRouteIDCRTBasis(b *testing.B) {
-	moduli := gf2.IrreducibleSequence(4, 5)
-	basis, err := gf2.NewCRTBasis(moduli)
-	if err != nil {
-		b.Fatal(err)
-	}
-	residues := make([]gf2.Poly, len(moduli))
-	for i := range residues {
-		residues[i] = gf2.FromUint64(uint64(i + 1))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := basis.Solve(residues); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPolkaVsPortSwitching compares the two data planes on
-// the same 4-router tunnel: per-packet forwarding across the whole path.
-// PolKA reads one immutable label; port switching pops a label per hop.
-func BenchmarkAblationPolkaVsPortSwitching(b *testing.B) {
-	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	routers := append(lab.NodesOfKind(topo.Edge), lab.NodesOfKind(topo.Core)...)
-	domain, err := polka.NewDomain(routers, lab.MaxPort())
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := topo.TunnelPath3()
-	ports, err := lab.PortsAlong(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Router-only hops (skip the host's virtual egress).
-	var hops []polka.PathHop
-	ports16 := make([]uint16, 0, len(ports))
-	for i := 0; i+1 < len(path.Nodes); i++ {
-		n, _ := lab.Node(path.Nodes[i])
-		if n.Kind == topo.Host {
-			continue
-		}
-		hops = append(hops, polka.PathHop{Node: path.Nodes[i], Port: ports[i]})
-		ports16 = append(ports16, uint16(ports[i]))
-	}
-	rid, err := domain.EncodePath(hops)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stack, err := srbase.NewLabelStack(ports16)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("polka", func(b *testing.B) {
-		switches := make([]*polka.Switch, len(hops))
-		for i, h := range hops {
-			sw, err := domain.Switch(h.Node)
-			if err != nil {
-				b.Fatal(err)
-			}
-			switches[i] = sw
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, sw := range switches {
-				if sw.OutputPort(rid) != hops[j].Port {
-					b.Fatal("wrong port")
-				}
-			}
-		}
-	})
-	b.Run("portswitching", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := stack.Clone()
-			for j := range ports16 {
-				p, err := c.Pop()
-				if err != nil || p != ports16[j] {
-					b.Fatal("wrong pop")
-				}
-			}
-		}
-	})
-	b.Run("headerbytes", func(b *testing.B) {
-		// Not a timing comparison: report the wire sizes as custom metrics.
-		hdr := polka.Header{RouteID: rid, ToS: 4, Proto: 6}
-		b.ReportMetric(float64(hdr.WireSize()), "polka-bytes")
-		b.ReportMetric(float64(stack.WireSize()), "stack-bytes")
-		for i := 0; i < b.N; i++ {
-			_ = hdr.WireSize()
-		}
-	})
-}
-
-// BenchmarkAblationReactiveVsPredictive compares the Section III
-// "current-QoS" heuristic with the 10-step predictive recommendation on
-// the UQ trace, timing a decision of each kind.
-func BenchmarkAblationReactiveVsPredictive(b *testing.B) {
-	tr := dataset.Generate(dataset.DefaultConfig())
-	wifi, lte := tr.WiFi.Values(), tr.LTE.Values()
-	split := dataset.SplitIndex(tr.Len(), 0.75)
-	opt, err := hecate.New(hecate.Config{Lag: 10, Horizon: 10, Model: "RFR"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := opt.TrainPath("wifi", wifi[:split]); err != nil {
-		b.Fatal(err)
-	}
-	if err := opt.TrainPath("lte", lte[:split]); err != nil {
-		b.Fatal(err)
-	}
-	histories := map[string][]float64{
-		"wifi": wifi[split : split+10],
-		"lte":  lte[split : split+10],
-	}
-	b.Run("reactive", func(b *testing.B) {
-		current := map[string]float64{"wifi": wifi[split+9], "lte": lte[split+9]}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := hecate.ReactiveBest(current, hecate.MaxBandwidth); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("predictive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := opt.Recommend(histories, hecate.MaxBandwidth); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationHorizon compares 1-step versus 10-step recommendation
-// cost (the prediction-horizon ablation of the Hecate optimizer).
-func BenchmarkAblationHorizon(b *testing.B) {
-	tr := dataset.Generate(dataset.DefaultConfig())
-	wifi, lte := tr.WiFi.Values(), tr.LTE.Values()
-	split := dataset.SplitIndex(tr.Len(), 0.75)
-	for _, horizon := range []int{1, 10} {
-		horizon := horizon
-		b.Run(map[int]string{1: "h1", 10: "h10"}[horizon], func(b *testing.B) {
-			opt, err := hecate.New(hecate.Config{Lag: 10, Horizon: horizon, Model: "RFR"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := opt.TrainPath("wifi", wifi[:split]); err != nil {
-				b.Fatal(err)
-			}
-			if err := opt.TrainPath("lte", lte[:split]); err != nil {
-				b.Fatal(err)
-			}
-			histories := map[string][]float64{
-				"wifi": wifi[split : split+10],
-				"lte":  lte[split : split+10],
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.Recommend(histories, hecate.MaxBandwidth); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationModelChoice times a single end-to-end recommendation
-// under three representative Hecate models: the deployed forest, the
-// boosted trees, and plain linear regression.
-func BenchmarkAblationModelChoice(b *testing.B) {
-	tr := dataset.Generate(dataset.DefaultConfig())
-	wifi, lte := tr.WiFi.Values(), tr.LTE.Values()
-	split := dataset.SplitIndex(tr.Len(), 0.75)
-	for _, model := range []string{"RFR", "GBR", "LR"} {
-		model := model
-		b.Run(model, func(b *testing.B) {
-			opt, err := hecate.New(hecate.Config{Lag: 10, Horizon: 10, Model: model})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := opt.TrainPath("wifi", wifi[:split]); err != nil {
-				b.Fatal(err)
-			}
-			if err := opt.TrainPath("lte", lte[:split]); err != nil {
-				b.Fatal(err)
-			}
-			histories := map[string][]float64{
-				"wifi": wifi[split : split+10],
-				"lte":  lte[split : split+10],
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.Recommend(histories, hecate.MaxBandwidth); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTrainingCost times fitting one path model for the
-// deployed forest versus the linear fallback — the control-plane cost of
-// the model choice.
-func BenchmarkAblationTrainingCost(b *testing.B) {
-	tr := dataset.Generate(dataset.DefaultConfig())
-	wifi := tr.WiFi.Values()
-	split := dataset.SplitIndex(tr.Len(), 0.75)
-	for _, model := range []string{"RFR", "LR"} {
-		model := model
-		b.Run(model, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opt, err := hecate.New(hecate.Config{Lag: 10, Horizon: 10, Model: model})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := opt.TrainPath("wifi", wifi[:split]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMLPipeline times one full EvaluateOnSeries pass (scale, window,
-// fit, predict, inverse, score) for the two models the paper plots.
-func BenchmarkMLPipeline(b *testing.B) {
-	tr := dataset.Generate(dataset.DefaultConfig())
-	wifi := tr.WiFi.Values()
-	cfg := ml.DefaultPipelineConfig()
-	for _, name := range []string{"RFR", "LR"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			spec, err := ml.ModelByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ml.EvaluateOnSeries(spec.New(), wifi, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAllocators compares three flow allocators on an
-// identical 5-flow workload over the lab tunnels: the trained Q-learning
-// policy (the paper's future-work direction), the reactive greedy
-// heuristic, and random placement. Each iteration plays one full
-// evaluation episode; the achieved totals are reported as custom metrics.
-func BenchmarkAblationAllocators(b *testing.B) {
-	env, err := rl.NewEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
-	caps := env.Capacities()
-	agent, err := rl.NewAgent([]int{1, 2, 3}, rl.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := env.Train(agent, 80); err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		choose rl.Chooser
-	}{
-		{"qlearning", rl.PolicyChooser(agent, caps)},
-		{"greedy", rl.GreedyChooser()},
-		{"random", rl.RandomChooser([]int{1, 2, 3}, 99)},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var total float64
-			for i := 0; i < b.N; i++ {
-				t, _, err := env.Evaluate(context.Background(), c.choose)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = t
-			}
-			b.ReportMetric(total, "total-mbps")
-		})
-	}
-}
-
-// BenchmarkAblationWorkloadPolicies times one 300 s soak per placement
-// policy and reports the carried load as a custom metric — the
-// introduction's "run networks hotter" claim quantified.
-func BenchmarkAblationWorkloadPolicies(b *testing.B) {
-	for _, policy := range []experiments.WorkloadPolicy{
-		experiments.PolicyStatic, experiments.PolicyRandom,
-		experiments.PolicyReactive, experiments.PolicyPredictive,
-	} {
-		policy := policy
-		b.Run(string(policy), func(b *testing.B) {
-			cfg := experiments.DefaultWorkloadConfig(policy)
-			cfg.DurationSec = 300
-			b.ReportAllocs()
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunWorkloadContext(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mean = res.MeanTotalMbps
-			}
-			b.ReportMetric(mean, "carried-mbps")
-		})
-	}
-}
 
 // --- Packet-level data plane (internal/dataplane) -------------------------
 
@@ -653,118 +163,6 @@ func BenchmarkDataplaneTableVsNaive(b *testing.B) {
 	})
 }
 
-// BenchmarkDataplaneModes measures per-mode forwarding cost on the lab:
-// unicast and multicast are pure CRC work, while proof-of-transit adds the
-// per-hop tag fold and the egress verification.
-func BenchmarkDataplaneModes(b *testing.B) {
-	const batch = 256
-	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	routers := append(lab.NodesOfKind(topo.Edge), lab.NodesOfKind(topo.Core)...)
-	domain, err := polka.NewMultipathDomain(routers, lab.MaxPort())
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := dataplane.New(lab, dataplane.Config{Domain: domain})
-	if err != nil {
-		b.Fatal(err)
-	}
-	uni, err := engine.UnicastRoute(topo.TunnelPath1())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pot, err := engine.PoTRoute(topo.TunnelPath1(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mia, err := lab.Node(topo.MIA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sao, err := lab.Node(topo.SAO)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ams, err := lab.Node(topo.AMS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	miaOut, _ := mia.Port(topo.SAO)
-	saoOut, _ := sao.Port(topo.AMS)
-	amsOut, _ := ams.Port(topo.HostAMS)
-	mc, err := engine.MulticastRoute(topo.MIA, map[string]uint64{
-		topo.MIA: 1 << miaOut,
-		topo.SAO: 1 << saoOut,
-		topo.AMS: 1 << amsOut,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name  string
-		route *dataplane.Route
-	}{{"unicast", uni}, {"multicast", mc}, {"pot", pot}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			var delivered uint64
-			for i := 0; i < b.N; i++ {
-				if err := engine.InjectBatch(c.route.Inject, c.route.NewPackets(batch, 1500)); err != nil {
-					b.Fatal(err)
-				}
-				stats, err := engine.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Delivered == 0 || stats.Dropped() != 0 {
-					b.Fatalf("delivered %d dropped %d", stats.Delivered, stats.Dropped())
-				}
-				delivered += stats.Delivered
-				engine.Reset()
-			}
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(delivered)/s, "pkts/s")
-			}
-		})
-	}
-}
-
-// BenchmarkLinkFullPath measures the full link tier's per-frame cost: the
-// Send path (loss draw, queue pruning, serialization arithmetic, heap
-// push) plus the arrival pop, on a modeled wire with every feature turned
-// on. The pkts/s metric is frames through the link per second; the steady
-// state must stay allocation-free so the dataplane's full mode doesn't
-// pay per-hop garbage.
-func BenchmarkLinkFullPath(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		cfg  link.FullConfig
-	}{
-		{"transparent", link.FullConfig{RateMbps: -1, DelayMs: -1}},
-		{"modeled", link.FullConfig{RateMbps: 1000, DelayMs: 5, QueuePkts: 256,
-			Loss: link.Bernoulli(0.01), ReorderProb: 0.05, ReorderWindowMs: 1, Seed: 1}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			p := link.NewFullPath(c.cfg)
-			var buf []link.Frame
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now := link.Time(i) * 12_000 // 1500 B at 1 Gbps
-				p.Send(now, link.Frame{Seq: uint64(i), Size: 1500})
-				buf = p.Recv(now, buf[:0])
-			}
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N)/s, "pkts/s")
-			}
-		})
-	}
-}
-
 // benchInjectRunReset times the engine op — stamp each route's packets
 // into a recycled buffer, inject, Run to completion, Reset — after one
 // untimed op that grows every pool, so allocs/op is the steady state.
@@ -885,30 +283,6 @@ func BenchmarkDataplaneFullSparse(b *testing.B) {
 		}
 	}
 	benchInjectRunReset(b, engine, routes, 4, func(route int) int { return 1500 - 4*route })
-}
-
-// BenchmarkLinkTransfer times the window-based transport moving 1 MiB
-// over a modeled wire — the unit of work behind every throttlesweep cell.
-func BenchmarkLinkTransfer(b *testing.B) {
-	b.ReportAllocs()
-	var segs uint64
-	for i := 0; i < b.N; i++ {
-		data := link.NewFullPath(link.FullConfig{RateMbps: 16, DelayMs: 10, QueuePkts: 64,
-			Loss: link.Bernoulli(0.01), Seed: 1})
-		ack := link.NewFullPath(link.FullConfig{RateMbps: 16, DelayMs: 10, Seed: 2})
-		res, err := link.RunTransfer(context.Background(), data, ack, link.TransferConfig{Bytes: 1 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Aborted {
-			b.Fatalf("aborted: %s", res.AbortReason)
-		}
-		segs += res.Segments
-	}
-	b.StopTimer()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(segs)/s, "segs/s")
-	}
 }
 
 // labTunnels are the three lab tunnels the control loop places flows on.

@@ -18,7 +18,7 @@ func TestListShowsAllPortedScenarios(t *testing.T) {
 	}
 	for _, name := range []string{
 		"failover", "fct", "flowaggregation", "latencymigration",
-		"mlcompare", "mlpredict", "multipath", "packetlevel", "rl", "workload",
+		"mlcompare", "mlpredict", "multipath", "packetlevel", "workload",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("list output missing %q:\n%s", name, out.String())

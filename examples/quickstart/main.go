@@ -1,10 +1,8 @@
 // Quickstart: the smallest useful tour of the library.
 //
 // It (1) reproduces the paper's Fig. 1 PolKA worked example with raw GF(2)
-// arithmetic, (2) builds a routing domain over a three-switch topology,
-// encodes a path into a single routeID and forwards with it, and (3) shows
-// why the label never changes in flight — the property port-switching
-// source routing lacks.
+// arithmetic, then (2) builds a routing domain over a three-switch
+// topology, encodes a path into a single routeID and forwards with it.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -15,7 +13,6 @@ import (
 
 	"repro/internal/gf2"
 	"repro/internal/polka"
-	"repro/internal/srbase"
 )
 
 func main() {
@@ -54,18 +51,4 @@ func main() {
 	if err := domain.VerifyPath(rid, path); err != nil {
 		log.Fatal(err)
 	}
-
-	// --- 3. Contrast with a port-switching label stack. ----------------
-	stack, err := srbase.NewLabelStack([]uint16{3, 7, 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nport switching needs %d header bytes and rewrites them at every hop:\n", stack.WireSize())
-	walk := stack.Clone()
-	for walk.Depth() > 0 {
-		p, _ := walk.Pop()
-		fmt.Printf("  pop -> port %d (remaining stack depth %d)\n", p, walk.Depth())
-	}
-	hdr := polka.Header{RouteID: rid, ToS: 4, Proto: 6}
-	fmt.Printf("PolKA carries one immutable %d-byte header for the whole path.\n", hdr.WireSize())
 }

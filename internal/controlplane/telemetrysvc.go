@@ -87,11 +87,6 @@ func (s *TelemetryService) StartCollection(emu *netem.Emulator, intervalSec floa
 	emu.Schedule(emu.Now(), tick)
 }
 
-// CollectNow samples all probes at the emulator's current time.
-func (s *TelemetryService) CollectNow(emu *netem.Emulator) error {
-	return s.collector.CollectAt(emu.Now())
-}
-
 // Store exposes the underlying time-series store (for dashboards and
 // experiment harnesses).
 func (s *TelemetryService) Store() *telemetry.Store { return s.store }

@@ -128,20 +128,9 @@ func (r DropReason) String() string {
 	}
 }
 
-// Visit records one forwarding decision of a packet's traversal: the node
-// that forwarded it and the output port it took there. A delivered packet's
-// Path is directly comparable to the []polka.PathHop the route was encoded
-// from.
-type Visit struct {
-	// Node is the forwarding node's name.
-	Node string
-	// Port is the output port the packet left through.
-	Port uint64
-}
-
 // Packet is one packet in flight. RouteID, TTL and Size are set by the
 // sender (typically via Route.NewPacket); the engine fills ID at injection
-// and Path/Egress as the packet traverses the network.
+// and Egress as the packet traverses the network.
 type Packet struct {
 	// RouteID is the big-endian routeID field of the PolKA header, exactly
 	// as polka.RouteIDBytes renders it. The engine never mutates it, so
@@ -173,9 +162,6 @@ type Packet struct {
 	// somewhere — at delivery, the delivery instant. LinkFull only; the
 	// fast tier has no clock and leaves it zero.
 	ArrivalNs int64
-	// Path lists the forwarding decisions taken so far; recorded only when
-	// Config.RecordPaths is set.
-	Path []Visit
 	// Egress is the non-forwarding node the packet was delivered to (set
 	// on delivery).
 	Egress string
@@ -224,10 +210,6 @@ type Config struct {
 	// stop that after ~2^TTL copies, so Run fails cleanly when a round
 	// pushes the in-flight population past this cap.
 	MaxInFlight int
-	// RecordPaths appends a Visit to every packet at each hop so delivered
-	// packets carry their full traversal. Costs an allocation per hop;
-	// leave off for throughput runs.
-	RecordPaths bool
 	// LinkMode selects the link tier: LinkFast (default, direct handoff)
 	// or LinkFull (per-link state machines in virtual time).
 	LinkMode LinkMode

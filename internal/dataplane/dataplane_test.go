@@ -3,6 +3,7 @@ package dataplane
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/polka"
@@ -31,23 +32,68 @@ func labEngine(t testing.TB, cfg Config) *Engine {
 	return e
 }
 
-// hopsEqual compares a recorded traversal with the encoded hop list.
-func hopsEqual(path []Visit, hops []polka.PathHop) bool {
-	if len(path) != len(hops) {
-		return false
+// copyKey names the copies of one packet that arrive at one node.
+type copyKey struct {
+	id   uint64
+	node string
+}
+
+// pathTrace rebuilds every delivered copy's traversal from Config.Trace
+// events: each forwarding or delivery event appends its (Node, Port) to the
+// path of the copy it acted on, so a delivered path is directly comparable
+// to the []polka.PathHop its route was encoded from. Copies arriving at a
+// node are matched to its events in arrival order, which is exact when only
+// the injection node replicates — true of every route traced here.
+type pathTrace struct {
+	arriving  map[copyKey][][]polka.PathHop
+	delivered map[uint64][][]polka.PathHop
+}
+
+func newPathTrace() *pathTrace {
+	pt := &pathTrace{}
+	pt.reset()
+	return pt
+}
+
+func (pt *pathTrace) reset() {
+	pt.arriving = map[copyKey][][]polka.PathHop{}
+	pt.delivered = map[uint64][][]polka.PathHop{}
+}
+
+func (pt *pathTrace) record(ev TraceEvent) {
+	k := copyKey{ev.PacketID, ev.Node}
+	var path []polka.PathHop
+	if q := pt.arriving[k]; len(q) > 0 {
+		path, pt.arriving[k] = q[0], q[1:]
 	}
-	for i := range path {
-		if path[i].Node != hops[i].Node || path[i].Port != hops[i].Port {
-			return false
-		}
+	if ev.Drop != DropNone {
+		return
 	}
-	return true
+	path = append(slices.Clip(path), polka.PathHop{Node: ev.Node, Port: ev.Port})
+	if ev.Delivered {
+		pt.delivered[ev.PacketID] = append(pt.delivered[ev.PacketID], path)
+		return
+	}
+	next := copyKey{ev.PacketID, ev.Next}
+	pt.arriving[next] = append(pt.arriving[next], path)
+}
+
+// path returns the one delivered traversal of a unicast packet.
+func (pt *pathTrace) path(t *testing.T, id uint64) []polka.PathHop {
+	t.Helper()
+	if paths := pt.delivered[id]; len(paths) == 1 {
+		return paths[0]
+	}
+	t.Fatalf("packet %d: %d delivered traversals, want 1", id, len(pt.delivered[id]))
+	return nil
 }
 
 func TestUnicastDeliveryAcrossLab(t *testing.T) {
-	e := labEngine(t, Config{RecordPaths: true})
+	pt := newPathTrace()
+	e := labEngine(t, Config{Trace: pt.record})
 	for _, tun := range []topo.Path{topo.TunnelPath1(), topo.TunnelPath2(), topo.TunnelPath3()} {
 		e.Reset()
+		pt.reset()
 		r, err := e.UnicastRoute(tun)
 		if err != nil {
 			t.Fatalf("%v: %v", tun, err)
@@ -73,8 +119,8 @@ func TestUnicastDeliveryAcrossLab(t *testing.T) {
 			if pkt.Egress != topo.HostAMS {
 				t.Fatalf("%v: delivered at %q, want %q", tun, pkt.Egress, topo.HostAMS)
 			}
-			if !hopsEqual(pkt.Path, r.Hops) {
-				t.Fatalf("%v: traversed %v, want %v", tun, pkt.Path, r.Hops)
+			if path := pt.path(t, pkt.ID); !slices.Equal(path, r.Hops) {
+				t.Fatalf("%v: traversed %v, want %v", tun, path, r.Hops)
 			}
 		}
 	}
@@ -111,7 +157,8 @@ func TestEgressHistogram(t *testing.T) {
 }
 
 func TestMulticastTree(t *testing.T) {
-	e := labEngine(t, Config{RecordPaths: true})
+	pt := newPathTrace()
+	e := labEngine(t, Config{Trace: pt.record})
 	lab := e.Topology()
 	// MIA replicates to SAO and CHI; both forward to AMS; AMS delivers to
 	// host2. host2 receives two copies, one per branch.
@@ -157,15 +204,19 @@ func TestMulticastTree(t *testing.T) {
 	if stats.Delivered != 10 || stats.Dropped() != 0 {
 		t.Fatalf("delivered %d dropped %d, want 10/0 (two copies per packet)", stats.Delivered, stats.Dropped())
 	}
-	branches := map[string]int{}
 	for _, pkt := range e.Delivered() {
 		if pkt.Egress != topo.HostAMS {
 			t.Fatalf("delivered at %q, want %q", pkt.Egress, topo.HostAMS)
 		}
-		if len(pkt.Path) != 3 {
-			t.Fatalf("traversal %v, want 3 hops", pkt.Path)
+	}
+	branches := map[string]int{}
+	for _, paths := range pt.delivered {
+		for _, path := range paths {
+			if len(path) != 3 {
+				t.Fatalf("traversal %v, want 3 hops", path)
+			}
+			branches[path[1].Node]++
 		}
-		branches[pkt.Path[1].Node]++
 	}
 	if branches[topo.SAO] != 5 || branches[topo.CHI] != 5 {
 		t.Fatalf("branch counts %v, want 5 via SAO and 5 via CHI", branches)
@@ -173,7 +224,8 @@ func TestMulticastTree(t *testing.T) {
 }
 
 func TestPoTDeliveryAndSkipDetection(t *testing.T) {
-	e := labEngine(t, Config{RecordPaths: true})
+	pt := newPathTrace()
+	e := labEngine(t, Config{Trace: pt.record})
 	r, err := e.PoTRoute(topo.TunnelPath3(), 42)
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +245,8 @@ func TestPoTDeliveryAndSkipDetection(t *testing.T) {
 			stats.Delivered, stats.PoTVerified, stats.Dropped())
 	}
 	for _, pkt := range e.Delivered() {
-		if !hopsEqual(pkt.Path, r.Hops) {
-			t.Fatalf("traversed %v, want %v", pkt.Path, r.Hops)
+		if path := pt.path(t, pkt.ID); !slices.Equal(path, r.Hops) {
+			t.Fatalf("traversed %v, want %v", path, r.Hops)
 		}
 	}
 
@@ -306,12 +358,13 @@ func TestRandomTopologyPathsVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(tp, Config{RecordPaths: true})
+		pt := newPathTrace()
+		e, err := New(tp, Config{Trace: pt.record})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hosts := tp.NodesOfKind(topo.Host)
-		injected := 0
+		var want [][]polka.PathHop // indexed by packet ID - 1 (IDs count injections from 1)
 		for i := 0; i < len(hosts); i++ {
 			for j := 0; j < len(hosts); j++ {
 				if i == j {
@@ -331,9 +384,10 @@ func TestRandomTopologyPathsVerify(t *testing.T) {
 				if err := e.InjectBatch(r.Inject, r.NewPackets(3, 100)); err != nil {
 					t.Fatal(err)
 				}
-				injected += 3
+				want = append(want, r.Hops, r.Hops, r.Hops)
 			}
 		}
+		injected := len(want)
 		if injected == 0 {
 			t.Fatalf("seed %d: no routable host pairs", seed)
 		}
@@ -344,6 +398,11 @@ func TestRandomTopologyPathsVerify(t *testing.T) {
 		if stats.Delivered != uint64(injected) || stats.Dropped() != 0 {
 			t.Fatalf("seed %d: delivered %d dropped %d, want %d/0",
 				seed, stats.Delivered, stats.Dropped(), injected)
+		}
+		for _, pkt := range e.Delivered() {
+			if path := pt.path(t, pkt.ID); !slices.Equal(path, want[pkt.ID-1]) {
+				t.Fatalf("seed %d: packet %d traversed %v, want %v", seed, pkt.ID, path, want[pkt.ID-1])
+			}
 		}
 	}
 }

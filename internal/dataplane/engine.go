@@ -341,15 +341,15 @@ func (e *Engine) runRound() int {
 // one GF(2) reduction. Runs of live packets agreeing on the residue and
 // mode are then moved in bulk (one append memmove plus a TTL fix-up
 // sweep): a PoT run accumulates once and stamps the shared result, a
-// multicast run bulk-replicates per one-hot port. Only TTL expiry,
-// tracing, and path recording fall back to the per-packet path.
+// multicast run bulk-replicates per one-hot port. Only TTL expiry and
+// tracing fall back to the per-packet path.
 func (e *Engine) forwardBatch(ns *nodeState, batch []Packet, buf *roundBuf) {
 	buf.rids = buf.rids[:0]
 	for j := range batch {
 		buf.rids = append(buf.rids, batch[j].RouteID)
 	}
 	buf.ports = ns.sw.OutputPortBatch(buf.rids, buf.ports[:0])
-	perPacket := e.cfg.Trace != nil || e.cfg.RecordPaths
+	perPacket := e.cfg.Trace != nil
 	j := 0
 	for j < len(batch) {
 		pkt := &batch[j]
@@ -501,14 +501,6 @@ func (e *Engine) emit(ns *nodeState, pkt Packet, port uint64, buf *roundBuf) {
 		return
 	}
 	pkt.TTL--
-	if e.cfg.RecordPaths {
-		// Copy-on-append: multicast copies of one packet share the Path
-		// backing array, so appending in place would alias.
-		path := make([]Visit, len(pkt.Path)+1)
-		copy(path, pkt.Path)
-		path[len(pkt.Path)] = Visit{Node: ns.name, Port: port}
-		pkt.Path = path
-	}
 	dst := ns.next[port]
 	if dst >= 0 {
 		ns.stats.Tx++

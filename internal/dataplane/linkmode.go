@@ -362,12 +362,6 @@ func (e *Engine) emitFull(idx int, ns *nodeState, pkt Packet, port uint64, now l
 		return
 	}
 	pkt.TTL--
-	if e.cfg.RecordPaths {
-		path := make([]Visit, len(pkt.Path)+1)
-		copy(path, pkt.Path)
-		path[len(pkt.Path)] = Visit{Node: ns.name, Port: port}
-		pkt.Path = path
-	}
 	fs := e.full
 	li := fs.byPort[idx][port]
 	l := &fs.links[li]

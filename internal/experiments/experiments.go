@@ -13,14 +13,13 @@
 // end-to-end exercise of the system, not a scripted shortcut.
 //
 // Every experiment — the figures above plus the extension scenarios
-// (failover, workload, fct, packetlevel, multipath, rl) — is registered
+// (failover, workload, fct, packetlevel, multipath) — is registered
 // behind the unified scenario API (internal/scenario) in scenarios.go;
 // the registration is the authoritative entry point, with DefaultConfig
 // as the single source of configuration truth and a context-aware Run.
 // cmd/labctl, the suite runner (including -shard slices), and the CI
 // benchmark trajectory (internal/benchstore) discover experiments only
-// through that registry; the legacy Run*(cfg) functions remain as
-// deprecated wrappers over the same implementations.
+// through that registry.
 package experiments
 
 import (

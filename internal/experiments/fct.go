@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/hecate"
 	"repro/internal/netem"
 	"repro/internal/topo"
 )
@@ -83,19 +82,7 @@ func RunFCTContext(ctx context.Context, cfg FCTConfig) (*FCTResult, error) {
 			// Both TE policies reduce to availability here: transfers are
 			// short relative to telemetry history, so the reactive signal
 			// is what matters (the soak covers the predictive pipeline).
-			current := make(map[string]float64, len(tunnelIDs))
-			for _, id := range tunnelIDs {
-				a, err := emu.PathAvailableMbps(tunnels[id])
-				if err != nil {
-					return 0, err
-				}
-				current[tunnelName(id)] = a
-			}
-			best, _, err := hecate.ReactiveBest(current, hecate.MaxBandwidth)
-			if err != nil {
-				return 0, err
-			}
-			return tunnelIDFromName(best)
+			return reactiveTunnel(emu, tunnels, tunnelIDs)
 		default:
 			return 0, fmt.Errorf("experiments: unknown policy %q", cfg.Policy)
 		}

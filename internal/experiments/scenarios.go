@@ -12,9 +12,7 @@ import (
 // (internal/scenario). Each registration is the experiment's single
 // authoritative entry: labctl, the suite runner, and CI discover the
 // scenario here, its DefaultConfig is the one source other defaults
-// derive from, and its Run is the context-aware lifecycle. The legacy
-// Run*(cfg) functions remain as deprecated wrappers over the same
-// context-aware implementations.
+// derive from, and its Run is the context-aware lifecycle.
 
 // labScenario adapts one typed experiment to scenario.Scenario. C is the
 // scenario's config struct (JSON round-trippable by construction: plain

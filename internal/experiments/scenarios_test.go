@@ -29,7 +29,6 @@ var portedScenarios = []string{
 	"mlpredict",
 	"multipath",
 	"packetlevel",
-	"rl",
 	"rstinject",
 	"throttlesweep",
 	"workload",

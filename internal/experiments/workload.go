@@ -31,6 +31,24 @@ func tunnelIDFromName(name string) (int, error) {
 	return id, nil
 }
 
+// reactiveTunnel is the reactive placement both soaks share: the tunnel
+// among tunnelIDs with the most bandwidth available right now.
+func reactiveTunnel(emu *netem.Emulator, tunnels map[int]topo.Path, tunnelIDs []int) (int, error) {
+	current := make(map[string]float64, len(tunnelIDs))
+	for _, id := range tunnelIDs {
+		a, err := emu.PathAvailableMbps(tunnels[id])
+		if err != nil {
+			return 0, err
+		}
+		current[tunnelName(id)] = a
+	}
+	best, _, err := hecate.ReactiveBest(current, hecate.MaxBandwidth)
+	if err != nil {
+		return 0, err
+	}
+	return tunnelIDFromName(best)
+}
+
 // WorkloadPolicy names a placement policy for the soak experiment.
 type WorkloadPolicy string
 
@@ -162,35 +180,11 @@ func RunWorkloadContext(ctx context.Context, cfg WorkloadConfig) (*WorkloadResul
 		case PolicyRandom:
 			return tunnelIDs[policyRng.Intn(len(tunnelIDs))], nil
 		case PolicyReactive:
-			current := make(map[string]float64, len(tunnelIDs))
-			for _, id := range tunnelIDs {
-				p, err := emu.PathAvailableMbps(tunnels[id])
-				if err != nil {
-					return 0, err
-				}
-				current[tunnelName(id)] = p
-			}
-			best, _, err := hecate.ReactiveBest(current, hecate.MaxBandwidth)
-			if err != nil {
-				return 0, err
-			}
-			return tunnelIDFromName(best)
+			return reactiveTunnel(emu, tunnels, tunnelIDs)
 		case PolicyPredictive:
 			if len(opt.TrainedPaths()) < len(tunnelIDs) {
 				// Cold start: fall back to reactive until models exist.
-				current := make(map[string]float64, len(tunnelIDs))
-				for _, id := range tunnelIDs {
-					p, err := emu.PathAvailableMbps(tunnels[id])
-					if err != nil {
-						return 0, err
-					}
-					current[tunnelName(id)] = p
-				}
-				best, _, err := hecate.ReactiveBest(current, hecate.MaxBandwidth)
-				if err != nil {
-					return 0, err
-				}
-				return tunnelIDFromName(best)
+				return reactiveTunnel(emu, tunnels, tunnelIDs)
 			}
 			histories := make(map[string][]float64, len(tunnelIDs))
 			for _, id := range tunnelIDs {

@@ -69,27 +69,29 @@ func TestCRTErrors(t *testing.T) {
 }
 
 func TestCRTBasisMatchesDirect(t *testing.T) {
-	moduli := IrreducibleSequence(3, 5)
-	basis, err := NewCRTBasis(moduli)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		residues := make([]Poly, len(moduli))
-		for i := range residues {
-			residues[i] = FromUint64(rng.Uint64() & ((1 << moduli[i].Degree()) - 1))
-		}
-		fromBasis, err := basis.Solve(residues)
+	for _, minDegree := range []int{3, 4} {
+		moduli := IrreducibleSequence(minDegree, 5)
+		basis, err := NewCRTBasis(moduli)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := CRT(residues, moduli)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fromBasis.Equal(direct) {
-			t.Fatalf("basis solve %v != direct CRT %v", fromBasis, direct)
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 30; trial++ {
+			residues := make([]Poly, len(moduli))
+			for i := range residues {
+				residues[i] = FromUint64(rng.Uint64() & ((1 << moduli[i].Degree()) - 1))
+			}
+			fromBasis, err := basis.Solve(residues)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := CRT(residues, moduli)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fromBasis.Equal(direct) {
+				t.Fatalf("degree ≥ %d: basis solve %v != direct CRT %v", minDegree, fromBasis, direct)
+			}
 		}
 	}
 }

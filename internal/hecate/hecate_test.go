@@ -184,6 +184,45 @@ func TestRecommendOnUQTrace(t *testing.T) {
 	}
 }
 
+// TestRecommendAcrossModelsAndHorizons trains each (model, horizon) pair
+// on the UQ trace's first 75 % and recommends from the next ten samples:
+// every pair must forecast the whole horizon for both paths and pick one.
+func TestRecommendAcrossModelsAndHorizons(t *testing.T) {
+	tr := dataset.Generate(dataset.DefaultConfig())
+	wifi, lte := tr.WiFi.Values(), tr.LTE.Values()
+	split := dataset.SplitIndex(tr.Len(), 0.75)
+	for _, c := range []struct {
+		model   string
+		horizon int
+	}{{"RFR", 1}, {"RFR", 10}, {"GBR", 10}, {"LR", 10}} {
+		opt, err := New(Config{Lag: 10, Horizon: c.horizon, Model: c.model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.TrainPath("wifi", wifi[:split]); err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.TrainPath("lte", lte[:split]); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := opt.Recommend(map[string][]float64{
+			"wifi": wifi[split : split+10],
+			"lte":  lte[split : split+10],
+		}, MaxBandwidth)
+		if err != nil {
+			t.Fatalf("%s h%d: %v", c.model, c.horizon, err)
+		}
+		if rec.Path != "wifi" && rec.Path != "lte" {
+			t.Errorf("%s h%d: recommended %q", c.model, c.horizon, rec.Path)
+		}
+		for path, fc := range rec.Forecasts {
+			if len(fc) != c.horizon {
+				t.Errorf("%s h%d: %s forecast has %d steps", c.model, c.horizon, path, len(fc))
+			}
+		}
+	}
+}
+
 func TestTrainedPaths(t *testing.T) {
 	opt, _ := trainedOptimizer(t, "LR")
 	got := opt.TrainedPaths()

@@ -33,6 +33,7 @@ type errorBody struct {
 // Error codes the API emits.
 const (
 	CodeBadRequest      = "bad_request"
+	CodeBodyTooLarge    = "body_too_large"
 	CodeUnknownScenario = "unknown_scenario"
 	CodeNotFound        = "not_found"
 	CodeQueueFull       = "queue_full"
@@ -163,12 +164,31 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, detail)
 }
 
+// maxBodyBytes bounds every POST body the API decodes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, refusing unknown fields and
+// bodies over maxBodyBytes. On failure it writes the error response — 413
+// body_too_large or 400 bad_request — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "%s is over %d bytes", what, tooLarge.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding %s: %v", what, err)
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding job spec: %v", err)
+	if !decodeBody(w, r, "job spec", &spec) {
 		return
 	}
 	st, err := s.Submit(spec)
@@ -263,10 +283,7 @@ func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BenchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding bench request: %v", err)
+	if !decodeBody(w, r, "bench request", &req) {
 		return
 	}
 	st, ok := s.Get(req.JobID)

@@ -194,9 +194,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Workers returns the bounded pool size.
-func (s *Server) Workers() int { return s.cfg.Workers }
-
 // SetExecDelay makes every subsequent job pause for d after entering
 // running, before its suite executes — an artificial per-job slowdown
 // (cmd/labd -exec-delay) that lets fleet tests and CI model a slow

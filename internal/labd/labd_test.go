@@ -392,6 +392,47 @@ func TestBenchEndpoint(t *testing.T) {
 	}
 }
 
+// TestOversizedBodies413 posts a 2 MiB body to both POST routes: each is
+// refused with 413 body_too_large, and the next normal job still runs.
+func TestOversizedBodies413(t *testing.T) {
+	s := New(Config{Workers: 1, BenchDir: t.TempDir()})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	ctx := ctxT(t)
+	sc := register(t, "after", nil)
+
+	// Whitespace is valid JSON padding, so only the size is wrong.
+	body := strings.Repeat(" ", 2<<20) + `{"scenarios":["` + sc.name + `"]}`
+	for _, route := range []string{"/v1/jobs", "/v1/bench"} {
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error body: %v", route, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Error.Code != CodeBodyTooLarge {
+			t.Errorf("%s: HTTP %d code %q, want 413 %q", route, resp.StatusCode, eb.Error.Code, CodeBodyTooLarge)
+		}
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("oversized submission created %d jobs", n)
+	}
+
+	st, err := c.Submit(ctx, JobSpec{Scenarios: []string{sc.name}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, st.ID, nil); err != nil || final.State != StateDone {
+		t.Fatalf("job after the refusals: %v, %v", final, err)
+	}
+}
+
 // TestQueueLimitAndDrain covers the two 503 paths.
 func TestQueueLimitAndDrain(t *testing.T) {
 	release := make(chan struct{})

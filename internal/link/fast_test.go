@@ -2,8 +2,8 @@ package link
 
 // FastPath is the fast tier: a direct queue-to-queue handoff. Frames
 // arrive at exactly their send time, in send order; nothing is delayed,
-// dropped, or reordered, and no randomness is consumed. It is the
-// zero-overhead implementation raw-throughput scenarios use.
+// dropped, or reordered, and no randomness is consumed. The tests use it
+// as the lossless reference link.
 type FastPath struct {
 	queue []Frame
 	head  int

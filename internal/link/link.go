@@ -1,13 +1,15 @@
-// Package link is the tiered link-forwarding engine: one small Forwarder
-// interface with two implementations that trade realism for speed, plus a
-// minimal window-based transport (Sender/Receiver inside RunTransfer) that
-// reacts to loss the way the scenario family above it needs.
+// Package link is the link-forwarding engine: one small Forwarder
+// interface, its full-tier implementation, and a minimal window-based
+// transport (Sender/Receiver inside RunTransfer) that reacts to loss the
+// way the scenario family above it needs.
 //
-// The two tiers follow the shape proven by bassosimone/netem:
+// The tiers follow the shape proven by bassosimone/netem:
 //
-//   - FastPath is a direct queue-to-queue handoff: frames sent at virtual
-//     time t arrive at virtual time t, nothing is ever dropped or delayed.
-//     It exists so raw-throughput scenarios pay nothing for the interface.
+//   - The fast tier is a direct handoff: frames sent at virtual time t
+//     arrive at virtual time t, nothing is ever dropped or delayed. The
+//     packet engine's LinkFast mode inlines it and builds no Forwarder;
+//     the package tests keep it as FastPath (fast_test.go), the lossless
+//     reference the transport runs over.
 //
 //   - FullPath is a per-link state machine modeling transmission latency
 //     (frames serialize at RateMbps), queueing delay behind a bounded

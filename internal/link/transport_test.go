@@ -61,9 +61,9 @@ func TestTransferLossDegradesGoodput(t *testing.T) {
 		}
 		return res.GoodputMbps
 	}
-	clean, lossy, heavy := run(0), run(2), run(10)
-	if !(clean > lossy && lossy > heavy) {
-		t.Fatalf("goodput not degrading: clean %.2f, 2%% %.2f, 10%% %.2f", clean, lossy, heavy)
+	clean, light, lossy, heavy := run(0), run(1), run(2), run(10)
+	if !(clean > light && light > lossy && lossy > heavy) {
+		t.Fatalf("goodput not degrading: clean %.2f, 1%% %.2f, 2%% %.2f, 10%% %.2f", clean, light, lossy, heavy)
 	}
 	// Graceful, not catastrophic: even 10% loss keeps the pipe moving.
 	if heavy <= 0.1 {

@@ -42,16 +42,10 @@ func AllModels() []ModelSpec {
 	}
 }
 
-// ModelByName returns the spec whose Name or Code matches
-// (case-sensitive), searching the paper's eighteen models first and then
-// the extension models (MLP, Holt).
+// ModelByName returns the paper model whose Name or Code matches
+// (case-sensitive).
 func ModelByName(name string) (ModelSpec, error) {
 	for _, spec := range AllModels() {
-		if spec.Name == name || spec.Code == name {
-			return spec, nil
-		}
-	}
-	for _, spec := range ExtensionModels() {
 		if spec.Name == name || spec.Code == name {
 			return spec, nil
 		}

@@ -63,8 +63,7 @@ func UnmarshalHeader(b []byte) (Header, int, error) {
 	}, 5 + l, nil
 }
 
-// WireSize returns the marshalled size of the header in bytes. It is used
-// by the header-overhead comparison against port-switching source routing.
+// WireSize returns the marshalled size of the header in bytes.
 func (h Header) WireSize() int {
 	return 5 + len(routeIDBytes(h.RouteID))
 }
